@@ -3,7 +3,15 @@
 //! parameters to the package's native forms. This is the reusable "CCA
 //! toolkit" the paper's abstract promises — swap the adapter, keep the
 //! application.
+//!
+//! Every adapter is one [`Adapter`] over a package `Backend`. The
+//! adapter owns the solve sequence the packages share — admission, the
+//! session cache, the setup and solve spans, the status fold and the
+//! solve ledger — and the backend supplies only what differs per
+//! package: option translation, setup, and the solve of one
+//! right-hand-side column.
 
+mod backend;
 mod raztec_adapter;
 mod rksp_adapter;
 mod rmg_adapter;
@@ -14,14 +22,215 @@ pub use rksp_adapter::RkspAdapter;
 pub use rmg_adapter::RmgAdapter;
 pub use rslu_adapter::RsluAdapter;
 
+pub(crate) use backend::{Backend, Column, LedgerLabels};
+
 use std::sync::Arc;
 
-use crate::error::LisiResult;
-use crate::traits::MatrixFreePort;
+use parking_lot::Mutex;
+
+use crate::error::{LisiError, LisiResult};
+use crate::service::{self, SessionKey, SolverService};
+use crate::state::LisiState;
+use crate::status::SolveReport;
+use crate::traits::{MatrixFreePort, SparseSolverPort};
+
+/// One LISI adapter: the [`SparseSolverPort`] surface over package
+/// backend `B`. [`RkspAdapter`], [`RaztecAdapter`], [`RsluAdapter`] and
+/// [`RmgAdapter`] are its four instances.
+#[derive(Default)]
+pub struct Adapter<B> {
+    state: Mutex<LisiState>,
+    backend: B,
+}
+
+impl<B: Backend> Adapter<B> {
+    const PACKAGE_NAME: &'static str = B::NAME;
+
+    /// Fresh, un-initialized adapter.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Connect the application's matrix-free port (done by the CCA
+    /// component when the `"matrix-free"` uses port is wired).
+    pub fn set_matrix_free(&self, port: Arc<dyn MatrixFreePort>) {
+        self.state.lock().matrix_free = Some(port);
+    }
+
+    /// Solve all right-hand-side columns as one batch regardless of the
+    /// `nrhs` option — the explicit multi-RHS entry point (the `nrhs`
+    /// option is the declarative twin that makes plain
+    /// [`SparseSolverPort::solve`] take this path). Packages with a
+    /// batched driver (RKSP) advance all columns in lockstep; the others
+    /// share the cached setup across columns.
+    pub fn solve_batch(&self, solution: &mut [f64], status: &mut [f64]) -> LisiResult<()> {
+        self.solve_impl(solution, status, true)
+    }
+
+    fn solve_impl(
+        &self,
+        solution: &mut [f64],
+        status: &mut [f64],
+        force_batch: bool,
+    ) -> LisiResult<()> {
+        let st = self.state.lock();
+        st.check_solve_buffers(solution, status)?;
+        crate::ledger::arm();
+        let comm = st.comm()?;
+        let rank = comm.rank();
+        let plan = self.backend.plan(&st)?;
+
+        // Admission control: each rank takes a ticket, then the cohort
+        // agrees — if any peer was refused, everyone returns Busy rather
+        // than leaving the refused rank's peers stranded in a collective.
+        // Agreement uses allgather, not allreduce: fault plans address
+        // allreduce calls by index, and the session layer must not shift
+        // the numbering of the solver's own reductions.
+        let svc = SolverService::global();
+        let ticket = svc.admit();
+        let admitted = comm.allgather(ticket.is_ok())?.into_iter().all(|ok| ok);
+        if !admitted {
+            return Err(ticket.err().unwrap_or_else(|| {
+                LisiError::Busy("a peer rank was refused admission".into())
+            }));
+        }
+        let _ticket = ticket.expect("cohort agreed all ranks were admitted");
+
+        // Resolve the artifact: matrix-free operators bypass the session
+        // cache (the closure's identity cannot be fingerprinted);
+        // assembled systems are keyed by matrix + option fingerprint so a
+        // warm session performs zero setup — the "lisi_setup" span is
+        // never even opened. The warm/cold decision is collective: a rank
+        // whose entry was evicted must not drag its warm peers into a
+        // setup collective they would skip.
+        let keyed = if matrix_free_requested(&st) {
+            None
+        } else {
+            let (matrix, _) = st.require_system()?;
+            let fingerprint = service::fingerprint(
+                rank,
+                comm.size(),
+                st.start_row.unwrap_or(0),
+                st.global_cols.unwrap_or(0),
+                matrix.row_ptr(),
+                matrix.col_idx(),
+                matrix.values(),
+                &st.options.dump(),
+            );
+            Some((matrix, SessionKey { backend: B::NAME, rank, size: comm.size(), fingerprint }))
+        };
+        let hit = match &keyed {
+            Some((_, key)) => {
+                let hit = svc.lookup::<B::Artifact>(key);
+                let warm = comm.allgather(hit.is_some())?.into_iter().all(|h| h);
+                svc.record_outcome(warm);
+                hit.filter(|_| warm)
+            }
+            None => None,
+        };
+        let (artifact, setup_seconds) = match hit {
+            Some(artifact) => (artifact, 0.0),
+            None => {
+                let setup_t = probe::SectionTimer::start("lisi_setup");
+                let artifact = match keyed {
+                    Some((matrix, key)) => {
+                        let (artifact, bytes) = self.backend.setup(&st, comm, &plan, matrix)?;
+                        let artifact = Arc::new(artifact);
+                        svc.insert(key, Arc::clone(&artifact) as Arc<_>, bytes);
+                        artifact
+                    }
+                    None => Arc::new(self.backend.setup_matrix_free(&st, comm, &plan)?),
+                };
+                (artifact, setup_t.stop())
+            }
+        };
+
+        let rhs = st.require_rhs()?;
+        let n_rhs = st.n_rhs;
+        let local_rows = solution.len() / n_rhs;
+        let batch_width: usize =
+            st.options.get("nrhs").and_then(|v| v.parse().ok()).unwrap_or(1);
+        let batched = force_batch || batch_width >= 2;
+        if batched {
+            probe::note("batch", format!("nrhs={n_rhs}"));
+        }
+        let solve_t = probe::SectionTimer::start("lisi_solve");
+        let mut solver = self.backend.bind(&st, comm, plan, &artifact)?;
+        let fused = if batched {
+            B::solve_batch(&mut solver, comm, rhs, solution, n_rhs)
+        } else {
+            None
+        };
+        let columns = match fused {
+            Some(columns) => columns?,
+            None => {
+                if batched {
+                    probe::add(probe::Counter::RhsBatched, n_rhs as u64);
+                }
+                let mut columns = Vec::with_capacity(n_rhs);
+                for k in 0..n_rhs {
+                    let range = k * local_rows..(k + 1) * local_rows;
+                    columns.push(B::solve_column(
+                        &mut solver,
+                        comm,
+                        &rhs[range.clone()],
+                        &mut solution[range],
+                    )?);
+                }
+                columns
+            }
+        };
+
+        // Fold the columns: the worst iteration count and residual, and
+        // the reason of the first column that failed (of the last column
+        // when all converged).
+        let mut report = SolveReport {
+            converged: true,
+            setup_seconds: setup_seconds + st.convert_seconds,
+            ..Default::default()
+        };
+        let (mut cond_estimate, mut initial_residual) = (None, None);
+        for c in &columns {
+            if report.converged {
+                report.reason = c.reason;
+            }
+            report.converged &= c.converged;
+            report.iterations = report.iterations.max(c.iterations);
+            report.residual = report.residual.max(c.residual);
+            cond_estimate = c.cond_estimate.or(cond_estimate);
+            initial_residual = c.initial_residual.or(initial_residual);
+        }
+        report.solve_seconds = solve_t.stop();
+        let labels = B::ledger_labels(&st);
+        crate::ledger::emit(
+            comm,
+            &crate::ledger::SolveInfo {
+                backend: B::NAME,
+                report: &report,
+                ksp: labels.ksp,
+                pc: labels.pc,
+                rtol: labels.rtol,
+                cond_estimate,
+                initial_residual,
+            },
+        );
+        report.write_into(status)?;
+        if report.converged {
+            Ok(())
+        } else {
+            Err(LisiError::Package(format!(
+                "{} did not converge (reason code {})",
+                B::LABEL,
+                report.reason
+            )))
+        }
+    }
+}
 
 /// Implements every [`crate::SparseSolverPort`] method except `solve` by
-/// delegating to the adapter's `state: parking_lot::Mutex<LisiState>`
-/// field. Each adapter supplies only its package-specific `solve`.
+/// delegating to the implementor's `state: parking_lot::Mutex<LisiState>`
+/// field. Expanded for [`Adapter`] and for the resilient driver, which
+/// each supply their own `solve`.
 macro_rules! lisi_common_methods {
     () => {
         fn initialize(&self, comm: rcomm::Communicator) -> crate::error::LisiResult<()> {
@@ -238,44 +447,22 @@ macro_rules! lisi_common_methods {
 }
 pub(crate) use lisi_common_methods;
 
-/// Common constructor surface shared by the adapters.
-macro_rules! lisi_adapter_boilerplate {
-    ($name:ident) => {
-        impl $name {
-            /// Fresh, un-initialized adapter.
-            pub fn new() -> Self {
-                Self::default()
-            }
+impl<B: Backend> SparseSolverPort for Adapter<B> {
+    lisi_common_methods!();
 
-            /// Connect the application's matrix-free port (done by the
-            /// CCA component when the `"matrix-free"` uses port is
-            /// wired).
-            pub fn set_matrix_free(
-                &self,
-                port: std::sync::Arc<dyn crate::traits::MatrixFreePort>,
-            ) {
-                self.state.lock().matrix_free = Some(port);
-            }
-        }
-    };
+    fn solve(&self, solution: &mut [f64], status: &mut [f64]) -> LisiResult<()> {
+        self.solve_impl(solution, status, false)
+    }
 }
-pub(crate) use lisi_adapter_boilerplate;
 
 /// Fetch the matrix-free port or explain what is missing.
-pub(crate) fn require_matrix_free(
-    state: &crate::state::LisiState,
-) -> LisiResult<Arc<dyn MatrixFreePort>> {
+pub(crate) fn require_matrix_free(state: &LisiState) -> LisiResult<Arc<dyn MatrixFreePort>> {
     state.matrix_free.clone().ok_or_else(|| {
-        crate::error::LisiError::BadPhase(
-            "matrix_free=true but no MatrixFree port is connected".into(),
-        )
+        LisiError::BadPhase("matrix_free=true but no MatrixFree port is connected".into())
     })
 }
 
 /// Is the matrix-free mode requested?
-pub(crate) fn matrix_free_requested(state: &crate::state::LisiState) -> bool {
-    state
-        .options
-        .get_parsed::<bool>("matrix_free")
-        .unwrap_or(false)
+pub(crate) fn matrix_free_requested(state: &LisiState) -> bool {
+    state.options.get_parsed::<bool>("matrix_free").unwrap_or(false)
 }

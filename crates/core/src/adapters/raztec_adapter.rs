@@ -1,37 +1,35 @@
-//! The RAztec (Trilinos/AztecOO-like) adapter: LISI's generic keys are
+//! The RAztec (Trilinos/AztecOO-like) backend: LISI's generic keys are
 //! translated to Aztec option enums, and matrix-free solves ride on
 //! RAztec's own `RowMatrix` virtual-matrix trait.
 
 use std::sync::Arc;
 
-use parking_lot::Mutex;
+use raztec::{
+    AztecOO, AztecOptions, AzConv, AzPrecond, AzSolver, AzWhy, CrsMatrix, Map, RowMatrix, Vector,
+};
 use rcomm::Communicator;
-use raztec::{AztecOO, AztecOptions, AzConv, AzPrecond, AzSolver, AzWhy, CrsMatrix, Map, RowMatrix, Vector};
+use rsparse::CsrMatrix;
 
+use super::{Backend, Column, LedgerLabels};
 use crate::error::{LisiError, LisiResult};
-use crate::service::{self, SolverService};
+use crate::service;
 use crate::state::LisiState;
-use crate::status::SolveReport;
-use crate::traits::{MatrixFreePort, SparseSolverPort};
+use crate::traits::MatrixFreePort;
 use crate::types::OperatorId;
 
-/// Session-cached setup: the row map and the imported `CrsMatrix`
-/// (whose construction includes the off-rank column import plan).
-/// Matrix-free operators are built fresh per solve — a user closure has
-/// no fingerprint — so only assembled systems land in the cache.
-struct RaztecArtifact {
-    partition: rsparse::BlockRowPartition,
-    map: Map,
-    operator: Box<dyn RowMatrix + Send + Sync>,
-}
-
 /// LISI over the RAztec iterative package.
-#[derive(Default)]
-pub struct RaztecAdapter {
-    state: Mutex<LisiState>,
-}
+pub type RaztecAdapter = super::Adapter<Raztec>;
 
-super::lisi_adapter_boilerplate!(RaztecAdapter);
+/// The RAztec package behind [`RaztecAdapter`].
+#[derive(Default)]
+pub struct Raztec;
+
+/// Session-cached setup: the imported `CrsMatrix` (whose construction
+/// includes the off-rank column import plan), which also carries the
+/// row map. Matrix-free operators are built fresh per solve — a user
+/// closure has no fingerprint — so only assembled systems land in the
+/// cache.
+pub type RaztecArtifact = Box<dyn RowMatrix + Send + Sync>;
 
 /// A `RowMatrix` that forwards multiplications to the application's
 /// `MatrixFree` port — RAztec's native matrix-free mechanism (the
@@ -58,224 +56,145 @@ impl RowMatrix for MfRowMatrix {
     }
 }
 
-impl RaztecAdapter {
-    const PACKAGE_NAME: &'static str = "raztec";
-
-    fn aztec_options(state: &LisiState) -> LisiResult<AztecOptions> {
-        let mut opts = AztecOptions::default();
-        if let Some(s) = state.options.get_first(&["solver", "az_solver"]) {
-            opts.solver = AzSolver::parse(&s).map_err(LisiError::from)?;
+fn aztec_options(state: &LisiState) -> LisiResult<AztecOptions> {
+    let mut opts = AztecOptions::default();
+    if let Some(s) = state.options.get_first(&["solver", "az_solver"]) {
+        opts.solver = AzSolver::parse(&s).map_err(LisiError::from)?;
+    }
+    if let Some(p) = state.options.get_first(&["preconditioner", "az_precond"]) {
+        opts.precond = AzPrecond::parse(&p).map_err(LisiError::from)?;
+    }
+    if let AzPrecond::Neumann { .. } = opts.precond {
+        if let Some(ord) = state.options.get_parsed::<usize>("poly_ord") {
+            opts.precond = AzPrecond::Neumann { order: ord };
         }
-        if let Some(p) = state.options.get_first(&["preconditioner", "az_precond"]) {
-            opts.precond = AzPrecond::parse(&p).map_err(LisiError::from)?;
-        }
-        if let AzPrecond::Neumann { .. } = opts.precond {
-            if let Some(ord) = state.options.get_parsed::<usize>("poly_ord") {
-                opts.precond = AzPrecond::Neumann { order: ord };
+    }
+    if let Some(t) = state.options.get_first(&["tol", "az_tol"]) {
+        opts.tol = t
+            .parse()
+            .map_err(|_| LisiError::BadParameter { key: "tol".into(), reason: t.clone() })?;
+    }
+    if let Some(m) = state.options.get_first(&["maxits", "az_max_iter"]) {
+        opts.max_iter = m.parse().map_err(|_| LisiError::BadParameter {
+            key: "maxits".into(),
+            reason: m.clone(),
+        })?;
+    }
+    if let Some(k) = state.options.get_first(&["restart", "az_kspace"]) {
+        opts.kspace = k.parse().map_err(|_| LisiError::BadParameter {
+            key: "restart".into(),
+            reason: k.clone(),
+        })?;
+    }
+    if let Some(w) = state.options.get_first(&["stagnation_window", "az_stagnation_window"])
+    {
+        opts.stall_window = w.parse().map_err(|_| LisiError::BadParameter {
+            key: "stagnation_window".into(),
+            reason: w.clone(),
+        })?;
+    }
+    if let Some(c) = state.options.get("conv") {
+        opts.conv = match c.as_str() {
+            "r0" => AzConv::R0,
+            "rhs" => AzConv::Rhs,
+            other => {
+                return Err(LisiError::BadParameter {
+                    key: "conv".into(),
+                    reason: other.into(),
+                })
             }
-        }
-        if let Some(t) = state.options.get_first(&["tol", "az_tol"]) {
-            opts.tol = t
-                .parse()
-                .map_err(|_| LisiError::BadParameter { key: "tol".into(), reason: t.clone() })?;
-        }
-        if let Some(m) = state.options.get_first(&["maxits", "az_max_iter"]) {
-            opts.max_iter = m.parse().map_err(|_| LisiError::BadParameter {
-                key: "maxits".into(),
-                reason: m.clone(),
-            })?;
-        }
-        if let Some(k) = state.options.get_first(&["restart", "az_kspace"]) {
-            opts.kspace = k.parse().map_err(|_| LisiError::BadParameter {
-                key: "restart".into(),
-                reason: k.clone(),
-            })?;
-        }
-        if let Some(w) = state.options.get_first(&["stagnation_window", "az_stagnation_window"])
-        {
-            opts.stall_window = w.parse().map_err(|_| LisiError::BadParameter {
-                key: "stagnation_window".into(),
-                reason: w.clone(),
-            })?;
-        }
-        if let Some(c) = state.options.get("conv") {
-            opts.conv = match c.as_str() {
-                "r0" => AzConv::R0,
-                "rhs" => AzConv::Rhs,
-                other => {
-                    return Err(LisiError::BadParameter {
-                        key: "conv".into(),
-                        reason: other.into(),
-                    })
-                }
-            };
-        }
-        Ok(opts)
-    }
-
-    /// Multi-RHS entry point: delegates to the common path and records
-    /// the batch in the probe counters (RAztec's drivers are
-    /// column-at-a-time; the amortized work is the cached setup).
-    pub fn solve_batch(&self, solution: &mut [f64], status: &mut [f64]) -> LisiResult<()> {
-        self.solve_impl(solution, status, true)
-    }
-
-    fn solve_impl(
-        &self,
-        solution: &mut [f64],
-        status: &mut [f64],
-        force_batch: bool,
-    ) -> LisiResult<()> {
-        let st = self.state.lock();
-        st.check_solve_buffers(solution, status)?;
-        crate::ledger::arm();
-        let comm = st.comm()?;
-        let rank = comm.rank();
-        let opts = Self::aztec_options(&st)?;
-
-        // Admission, then the cohort-agreed warm/cold branch (see the
-        // RKSP adapter for the full rationale).
-        let svc = SolverService::global();
-        let ticket = svc.admit();
-        let admitted = comm.allgather(ticket.is_ok())?.into_iter().all(|ok| ok);
-        if !admitted {
-            return Err(ticket.err().unwrap_or_else(|| {
-                LisiError::Busy("a peer rank was refused admission".into())
-            }));
-        }
-        let _ticket = ticket.expect("cohort agreed all ranks were admitted");
-
-        let (artifact, setup_seconds): (Arc<RaztecArtifact>, f64) =
-            if super::matrix_free_requested(&st) {
-                let setup_t = probe::SectionTimer::start("lisi_setup");
-                let partition = st.build_partition()?;
-                let map = Map::from_partition(partition.clone(), rank);
-                let port = super::require_matrix_free(&st)?;
-                let operator: Box<dyn RowMatrix + Send + Sync> =
-                    Box::new(MfRowMatrix { map: map.clone(), port });
-                (Arc::new(RaztecArtifact { partition, map, operator }), setup_t.stop())
-            } else {
-                let (matrix, _) = st.require_system()?;
-                let key = service::SessionKey {
-                    backend: Self::PACKAGE_NAME,
-                    rank,
-                    size: comm.size(),
-                    fingerprint: service::fingerprint(
-                        rank,
-                        comm.size(),
-                        st.start_row.unwrap_or(0),
-                        st.global_cols.unwrap_or(0),
-                        matrix.row_ptr(),
-                        matrix.col_idx(),
-                        matrix.values(),
-                        &st.options.dump(),
-                    ),
-                };
-                let hit = svc.lookup::<RaztecArtifact>(&key);
-                let warm = comm.allgather(hit.is_some())?.into_iter().all(|h| h);
-                svc.record_outcome(warm);
-                if warm {
-                    (hit.expect("cohort agreed every rank hit"), 0.0)
-                } else {
-                    let setup_t = probe::SectionTimer::start("lisi_setup");
-                    let partition = st.build_partition()?;
-                    let map = Map::from_partition(partition.clone(), rank);
-                    let crs = CrsMatrix::from_local_rows(comm, map.clone(), matrix.clone())
-                        .map_err(LisiError::from)?;
-                    let bytes =
-                        service::approx_csr_bytes(matrix.nnz(), partition.local_rows(rank));
-                    let artifact = Arc::new(RaztecArtifact {
-                        partition,
-                        map,
-                        operator: Box::new(crs),
-                    });
-                    svc.insert(key, Arc::clone(&artifact) as Arc<_>, bytes);
-                    (artifact, setup_t.stop())
-                }
-            };
-        let map = artifact.map.clone();
-        let local_rows = artifact.partition.local_rows(rank);
-
-        let rhs = st.require_rhs()?;
-        let n_rhs = st.n_rhs;
-        let batch_width: usize =
-            st.options.get("nrhs").and_then(|v| v.parse().ok()).unwrap_or(1);
-        if (force_batch || batch_width >= 2) && n_rhs >= 1 {
-            probe::add(probe::Counter::RhsBatched, n_rhs as u64);
-            probe::note("batch", format!("nrhs={n_rhs}"));
-        }
-        let mut az = AztecOO::new(artifact.operator.as_ref());
-        az.set_options(opts);
-
-        let solve_t = probe::SectionTimer::start("lisi_solve");
-        let mut report = SolveReport {
-            converged: true,
-            setup_seconds: setup_seconds + st.convert_seconds,
-            ..Default::default()
         };
-        for k in 0..n_rhs {
-            let b = Vector::from_values(
-                map.clone(),
-                rhs[k * local_rows..(k + 1) * local_rows].to_vec(),
-            )
-            .map_err(LisiError::from)?;
-            let mut x = Vector::from_values(
-                map.clone(),
-                solution[k * local_rows..(k + 1) * local_rows].to_vec(),
-            )
-            .map_err(LisiError::from)?;
-            let stat = az.iterate(comm, &b, &mut x).map_err(LisiError::from)?;
-            solution[k * local_rows..(k + 1) * local_rows].copy_from_slice(x.values());
-            report.converged &= stat.why.converged();
-            report.iterations = report.iterations.max(stat.its);
-            report.residual = report.residual.max(stat.true_residual);
-            report.reason = match stat.why {
+    }
+    Ok(opts)
+}
+
+impl Backend for Raztec {
+    const NAME: &'static str = "raztec";
+    const LABEL: &'static str = "RAztec";
+    type Plan = AztecOptions;
+    type Artifact = RaztecArtifact;
+    type Solver<'a> = (AztecOO<'a>, &'a Map);
+
+    fn plan(&self, st: &LisiState) -> LisiResult<AztecOptions> {
+        aztec_options(st)
+    }
+
+    fn setup(
+        &self,
+        st: &LisiState,
+        comm: &Communicator,
+        _plan: &AztecOptions,
+        matrix: &CsrMatrix,
+    ) -> LisiResult<(RaztecArtifact, usize)> {
+        let partition = st.build_partition()?;
+        let bytes = service::approx_csr_bytes(matrix.nnz(), partition.local_rows(comm.rank()));
+        let map = Map::from_partition(partition, comm.rank());
+        let crs = CrsMatrix::from_local_rows(comm, map, matrix.clone())?;
+        Ok((Box::new(crs), bytes))
+    }
+
+    fn setup_matrix_free(
+        &self,
+        st: &LisiState,
+        comm: &Communicator,
+        _plan: &AztecOptions,
+    ) -> LisiResult<RaztecArtifact> {
+        let map = Map::from_partition(st.build_partition()?, comm.rank());
+        let port = super::require_matrix_free(st)?;
+        Ok(Box::new(MfRowMatrix { map, port }))
+    }
+
+    fn bind<'a>(
+        &'a self,
+        _st: &'a LisiState,
+        _comm: &Communicator,
+        plan: AztecOptions,
+        artifact: &'a RaztecArtifact,
+    ) -> LisiResult<(AztecOO<'a>, &'a Map)> {
+        let mut az = AztecOO::new(artifact.as_ref());
+        az.set_options(plan);
+        Ok((az, artifact.row_map()))
+    }
+
+    fn solve_column(
+        (az, map): &mut (AztecOO<'_>, &Map),
+        comm: &Communicator,
+        b: &[f64],
+        x: &mut [f64],
+    ) -> LisiResult<Column> {
+        let b = Vector::from_values((*map).clone(), b.to_vec())?;
+        let mut xv = Vector::from_values((*map).clone(), x.to_vec())?;
+        let stat = az.iterate(comm, &b, &mut xv)?;
+        x.copy_from_slice(xv.values());
+        Ok(Column {
+            converged: stat.why.converged(),
+            iterations: stat.its,
+            residual: stat.true_residual,
+            reason: match stat.why {
                 AzWhy::Normal => 1,
                 AzWhy::Maxits => -1,
                 AzWhy::Breakdown => -2,
                 AzWhy::Ill => -3,
                 AzWhy::Stagnated => -4,
-            };
-        }
-        report.solve_seconds = solve_t.stop();
-        crate::ledger::emit(
-            comm,
-            &crate::ledger::SolveInfo {
-                backend: Self::PACKAGE_NAME,
-                report: &report,
-                ksp: st.options.get_first(&["solver", "az_solver"]),
-                pc: st.options.get_first(&["preconditioner", "az_precond"]),
-                rtol: st
-                    .options
-                    .get_first(&["tol", "az_tol"])
-                    .and_then(|v| v.parse().ok()),
-                cond_estimate: None,
-                initial_residual: None,
             },
-        );
-        report.write_into(status)?;
-        if report.converged {
-            Ok(())
-        } else {
-            Err(LisiError::Package(format!(
-                "RAztec did not converge (reason code {})",
-                report.reason
-            )))
-        }
+            cond_estimate: None,
+            initial_residual: None,
+        })
     }
-}
 
-impl SparseSolverPort for RaztecAdapter {
-    super::lisi_common_methods!();
-
-    fn solve(&self, solution: &mut [f64], status: &mut [f64]) -> LisiResult<()> {
-        self.solve_impl(solution, status, false)
+    fn ledger_labels(st: &LisiState) -> LedgerLabels {
+        LedgerLabels {
+            ksp: st.options.get_first(&["solver", "az_solver"]),
+            pc: st.options.get_first(&["preconditioner", "az_precond"]),
+            rtol: st.options.get_first(&["tol", "az_tol"]).and_then(|v| v.parse().ok()),
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::traits::SparseSolverPort;
     use crate::status::{SolveReport, STATUS_LEN};
     use rcomm::Universe;
     use rsparse::BlockRowPartition;
@@ -333,7 +252,7 @@ mod tests {
             },
             ..LisiState::default()
         };
-        let opts = RaztecAdapter::aztec_options(&st).unwrap();
+        let opts = aztec_options(&st).unwrap();
         assert_eq!(opts.solver, AzSolver::BiCgStab);
         assert_eq!(opts.precond, AzPrecond::Neumann { order: 5 });
         assert_eq!(opts.conv, AzConv::Rhs);
@@ -351,7 +270,7 @@ mod tests {
             ..LisiState::default()
         };
         assert!(matches!(
-            RaztecAdapter::aztec_options(&st),
+            aztec_options(&st),
             Err(LisiError::BadParameter { .. })
         ));
         let st2 = LisiState {
@@ -362,7 +281,7 @@ mod tests {
             },
             ..LisiState::default()
         };
-        assert!(RaztecAdapter::aztec_options(&st2).is_err());
+        assert!(aztec_options(&st2).is_err());
     }
 
     #[test]

@@ -1,305 +1,209 @@
-//! The RKSP (PETSc-like) adapter — the reference LISI implementation,
+//! The RKSP (PETSc-like) backend — the reference LISI implementation,
 //! including the matrix-free path through the `lisi.MatrixFree` port.
 
 use std::sync::Arc;
 
-use parking_lot::Mutex;
 use rcomm::Communicator;
-use rkrylov::{Ksp, KspConfig, LinearOperator, MatOperator, Preconditioner, ShellOperator};
-use rsparse::{DistCsrMatrix, DistVector};
+use rkrylov::{
+    ConvergedReason, Ksp, KspConfig, KspResult, LinearOperator, MatOperator, Preconditioner,
+    ShellOperator,
+};
+use rsparse::{CsrMatrix, DistCsrMatrix, DistVector};
 
+use super::{Backend, Column, LedgerLabels};
 use crate::error::{LisiError, LisiResult};
-use crate::service::{self, SolverService};
+use crate::service;
 use crate::state::LisiState;
-use crate::status::SolveReport;
-use crate::traits::{MatrixFreePort, SparseSolverPort};
+use crate::traits::MatrixFreePort;
 use crate::types::OperatorId;
 
-/// Setup artifacts cached in the process-wide [`SolverService`]: a
-/// second solve of a fingerprint-identical system (same pattern, same
-/// value bits, same options, same distribution) reuses all three and
-/// performs *zero* setup — no partition allgather, no halo plan, no
+/// LISI over the RKSP iterative package.
+pub type RkspAdapter = super::Adapter<Rksp>;
+
+/// The RKSP package behind [`RkspAdapter`].
+#[derive(Default)]
+pub struct Rksp;
+
+/// The Krylov driver, and whether the application's `MatrixFree` port
+/// stands in for the preconditioner.
+pub struct RkspPlan {
+    ksp: Ksp,
+    matrix_free_pc: bool,
+}
+
+/// Setup artifacts cached in the process-wide
+/// [`crate::service::SolverService`]: a second solve of a
+/// fingerprint-identical system (same pattern, same value bits, same
+/// options, same distribution) reuses the operator and preconditioner
+/// and performs *zero* setup — no partition allgather, no halo plan, no
 /// format conversion, no preconditioner factorization (paper §5.2 b/c,
 /// extended across component instances).
-struct RkspArtifact {
-    partition: rsparse::BlockRowPartition,
-    operator: Arc<MatOperator>,
-    pc: Arc<dyn Preconditioner>,
+pub struct RkspArtifact {
+    operator: Box<dyn LinearOperator>,
+    pc: Box<dyn Preconditioner>,
 }
 
-/// LISI over the RKSP iterative package.
-#[derive(Default)]
-pub struct RkspAdapter {
-    state: Mutex<LisiState>,
+/// The preconditioner that forwards to the application's `MatrixFree`
+/// port with `ID = PRECONDITIONER`.
+struct MfPc {
+    port: Arc<dyn MatrixFreePort>,
 }
 
-super::lisi_adapter_boilerplate!(RkspAdapter);
-
-impl RkspAdapter {
-    const PACKAGE_NAME: &'static str = "rksp";
-
-    /// The preconditioner that forwards to the application's
-    /// `MatrixFree` port with `ID = PRECONDITIONER`.
-    fn matrix_free_pc(port: Arc<dyn MatrixFreePort>) -> Arc<dyn Preconditioner> {
-        struct MfPc {
-            port: Arc<dyn MatrixFreePort>,
-        }
-        impl Preconditioner for MfPc {
-            fn apply(
-                &self,
-                _comm: &Communicator,
-                r: &DistVector,
-                z: &mut DistVector,
-            ) -> Result<(), rkrylov::KspError> {
-                self.port
-                    .mat_mult(OperatorId::Preconditioner, r.local(), z.local_mut())
-                    .map_err(|e| rkrylov::KspError::Nonconforming(e.to_string()))
-            }
-            fn name(&self) -> &'static str {
-                "matrix-free"
-            }
-        }
-        Arc::new(MfPc { port })
-    }
-
-    /// Solve all right-hand-side columns through the batched Krylov
-    /// drivers regardless of the `nrhs` option — the explicit multi-RHS
-    /// entry point (the `nrhs` option is the declarative twin that makes
-    /// plain [`SparseSolverPort::solve`] take this path).
-    pub fn solve_batch(&self, solution: &mut [f64], status: &mut [f64]) -> LisiResult<()> {
-        self.solve_impl(solution, status, true)
-    }
-
-    fn solve_impl(
+impl Preconditioner for MfPc {
+    fn apply(
         &self,
-        solution: &mut [f64],
-        status: &mut [f64],
-        force_batch: bool,
-    ) -> LisiResult<()> {
-        let st = self.state.lock();
-        st.check_solve_buffers(solution, status)?;
-        crate::ledger::arm();
-        let comm = st.comm()?;
-        let rank = comm.rank();
+        _comm: &Communicator,
+        r: &DistVector,
+        z: &mut DistVector,
+    ) -> Result<(), rkrylov::KspError> {
+        self.port
+            .mat_mult(OperatorId::Preconditioner, r.local(), z.local_mut())
+            .map_err(|e| rkrylov::KspError::Nonconforming(e.to_string()))
+    }
+    fn name(&self) -> &'static str {
+        "matrix-free"
+    }
+}
 
-        let matrix_free = super::matrix_free_requested(&st);
-        let mf_pc = matrix_free
+/// The status-fold view of one Krylov solve.
+fn column(res: &KspResult) -> Column {
+    Column {
+        converged: res.converged(),
+        iterations: res.iterations,
+        residual: res.final_residual,
+        reason: match res.reason {
+            ConvergedReason::RelativeTolerance => 1,
+            ConvergedReason::AbsoluteTolerance => 2,
+            ConvergedReason::MaxIterations => -1,
+            ConvergedReason::Breakdown => -2,
+            ConvergedReason::Diverged => -3,
+            ConvergedReason::Stagnated => -4,
+            ConvergedReason::TimedOut => -5,
+        },
+        cond_estimate: res.cond_estimate,
+        initial_residual: Some(res.initial_residual),
+    }
+}
+
+impl Backend for Rksp {
+    const NAME: &'static str = "rksp";
+    const LABEL: &'static str = "RKSP";
+    type Plan = RkspPlan;
+    type Artifact = RkspArtifact;
+    type Solver<'a> = (Ksp, &'a RkspArtifact);
+
+    fn plan(&self, st: &LisiState) -> LisiResult<RkspPlan> {
+        let matrix_free_pc = super::matrix_free_requested(st)
             && st.options.get("preconditioner").as_deref() == Some("matrix_free");
-        let cfg = if mf_pc {
+        let cfg = if matrix_free_pc {
             // "matrix_free" is not a package preconditioner name; the port
-            // below supplies the application's preconditioner instead.
+            // supplies the application's preconditioner instead.
             let mut opts = st.options.clone();
             opts.set("preconditioner", "none");
-            KspConfig::from_options(&opts).map_err(LisiError::from)?
+            KspConfig::from_options(&opts)?
         } else {
-            KspConfig::from_options(&st.options).map_err(LisiError::from)?
+            KspConfig::from_options(&st.options)?
         };
-        let ksp = Ksp::new(cfg).map_err(LisiError::from)?;
-
-        // Admission control: each rank takes a ticket, then the cohort
-        // agrees — if any peer was refused, everyone returns Busy rather
-        // than leaving the refused rank's peers stranded in a collective.
-        // Agreement uses allgather, not allreduce: fault plans address
-        // allreduce calls by index, and the session layer must not shift
-        // the numbering of the solver's own reductions.
-        let svc = SolverService::global();
-        let ticket = svc.admit();
-        let admitted = comm.allgather(ticket.is_ok())?.into_iter().all(|ok| ok);
-        if !admitted {
-            return Err(ticket.err().unwrap_or_else(|| {
-                LisiError::Busy("a peer rank was refused admission".into())
-            }));
-        }
-        let _ticket = ticket.expect("cohort agreed all ranks were admitted");
-
-        // Resolve the operator and preconditioner: matrix-free operators
-        // bypass the session cache (the closure's identity cannot be
-        // fingerprinted); assembled systems are keyed by matrix + option
-        // fingerprint so a warm session performs zero setup — the
-        // "lisi_setup" span is never even opened. The warm/cold decision
-        // is collective: a rank whose entry was evicted must not drag its
-        // warm peers into a setup collective they would skip.
-        let (operator, pc, partition, setup_seconds): (
-            Arc<dyn LinearOperator>,
-            Arc<dyn Preconditioner>,
-            rsparse::BlockRowPartition,
-            f64,
-        ) = if matrix_free {
-            let setup_t = probe::SectionTimer::start("lisi_setup");
-            let partition = st.build_partition()?;
-            let port = super::require_matrix_free(&st)?;
-            let apply_port = Arc::clone(&port);
-            let shell = ShellOperator::new(partition.clone(), move |_, x, y| {
-                apply_port
-                    .mat_mult(OperatorId::Matrix, x.local(), y.local_mut())
-                    .map_err(|e| e.to_string())
-            });
-            let pc: Arc<dyn Preconditioner> =
-                if mf_pc {
-                    Self::matrix_free_pc(port)
-                } else {
-                    ksp.make_pc(&shell).map_err(LisiError::from)?.into()
-                };
-            let op: Arc<dyn LinearOperator> = Arc::new(shell);
-            (op, pc, partition, setup_t.stop())
-        } else {
-            let (matrix, _) = st.require_system()?;
-            let key = service::SessionKey {
-                backend: Self::PACKAGE_NAME,
-                rank,
-                size: comm.size(),
-                fingerprint: service::fingerprint(
-                    rank,
-                    comm.size(),
-                    st.start_row.unwrap_or(0),
-                    st.global_cols.unwrap_or(0),
-                    matrix.row_ptr(),
-                    matrix.col_idx(),
-                    matrix.values(),
-                    &st.options.dump(),
-                ),
-            };
-            let hit = svc.lookup::<RkspArtifact>(&key);
-            let warm = comm.allgather(hit.is_some())?.into_iter().all(|h| h);
-            svc.record_outcome(warm);
-            if warm {
-                let art = hit.expect("cohort agreed every rank hit");
-                (
-                    Arc::clone(&art.operator) as Arc<dyn LinearOperator>,
-                    Arc::clone(&art.pc),
-                    art.partition.clone(),
-                    0.0,
-                )
-            } else {
-                let setup_t = probe::SectionTimer::start("lisi_setup");
-                let partition = st.build_partition()?;
-                let dist =
-                    DistCsrMatrix::from_local_rows(comm, partition.clone(), matrix.clone())?;
-                let op = Arc::new(MatOperator::new(dist));
-                let pc: Arc<dyn Preconditioner> =
-                    ksp.make_pc(op.as_ref()).map_err(LisiError::from)?.into();
-                let bytes = service::approx_csr_bytes(matrix.nnz(), partition.local_rows(rank));
-                svc.insert(
-                    key,
-                    Arc::new(RkspArtifact {
-                        partition: partition.clone(),
-                        operator: Arc::clone(&op),
-                        pc: Arc::clone(&pc),
-                    }),
-                    bytes,
-                );
-                (op as Arc<dyn LinearOperator>, pc, partition, setup_t.stop())
-            }
-        };
-        let local_rows = partition.local_rows(rank);
-
-        let rhs = st.require_rhs()?.to_vec();
-        let n_rhs = st.n_rhs;
-        let batch_width: usize = st
-            .options
-            .get("nrhs")
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(1);
-        let use_batch = (force_batch || batch_width >= 2) && n_rhs >= 1;
-        let solve_t = probe::SectionTimer::start("lisi_solve");
-        let mut report = SolveReport {
-            converged: true,
-            setup_seconds: setup_seconds + st.convert_seconds,
-            ..Default::default()
-        };
-        let mut cond_estimate = None;
-        let mut initial_residual = None;
-        let mut fold = |report: &mut SolveReport, res: &rkrylov::KspResult| {
-            cond_estimate = res.cond_estimate.or(cond_estimate);
-            initial_residual = Some(res.initial_residual);
-            report.converged &= res.converged();
-            report.iterations = report.iterations.max(res.iterations);
-            report.residual = report.residual.max(res.final_residual);
-            report.reason = match res.reason {
-                rkrylov::ConvergedReason::RelativeTolerance => 1,
-                rkrylov::ConvergedReason::AbsoluteTolerance => 2,
-                rkrylov::ConvergedReason::MaxIterations => -1,
-                rkrylov::ConvergedReason::Breakdown => -2,
-                rkrylov::ConvergedReason::Diverged => -3,
-                rkrylov::ConvergedReason::Stagnated => -4,
-                rkrylov::ConvergedReason::TimedOut => -5,
-            };
-        };
-        if use_batch {
-            // One batched call: fused multi-vector SpMV plus per-step
-            // reductions batched across all columns (k collectives → 1).
-            probe::note("batch", format!("nrhs={n_rhs}"));
-            let results = ksp
-                .solve_batch_with_pc(
-                    comm,
-                    operator.as_ref(),
-                    pc.as_ref(),
-                    &rhs,
-                    solution,
-                    n_rhs,
-                )
-                .map_err(LisiError::from)?;
-            for res in &results {
-                fold(&mut report, res);
-            }
-        } else {
-            for k in 0..n_rhs {
-                let b = DistVector::from_local(
-                    partition.clone(),
-                    rank,
-                    rhs[k * local_rows..(k + 1) * local_rows].to_vec(),
-                )?;
-                let mut x = DistVector::from_local(
-                    partition.clone(),
-                    rank,
-                    solution[k * local_rows..(k + 1) * local_rows].to_vec(),
-                )?;
-                let res = ksp
-                    .solve_with_pc(comm, operator.as_ref(), pc.as_ref(), &b, &mut x)
-                    .map_err(LisiError::from)?;
-                solution[k * local_rows..(k + 1) * local_rows].copy_from_slice(x.local());
-                fold(&mut report, &res);
-            }
-        }
-        report.solve_seconds = solve_t.stop();
-        crate::ledger::emit(
-            comm,
-            &crate::ledger::SolveInfo {
-                backend: Self::PACKAGE_NAME,
-                report: &report,
-                ksp: st.options.get("solver"),
-                pc: st.options.get("preconditioner"),
-                rtol: st
-                    .options
-                    .get_first(&["ksp_rtol", "tol", "rtol"])
-                    .and_then(|v| v.parse().ok()),
-                cond_estimate,
-                initial_residual,
-            },
-        );
-        report.write_into(status)?;
-        if report.converged {
-            Ok(())
-        } else {
-            Err(LisiError::Package(format!(
-                "RKSP did not converge (reason code {})",
-                report.reason
-            )))
-        }
+        Ok(RkspPlan { ksp: Ksp::new(cfg)?, matrix_free_pc })
     }
-}
 
-impl SparseSolverPort for RkspAdapter {
-    super::lisi_common_methods!();
+    fn setup(
+        &self,
+        st: &LisiState,
+        comm: &Communicator,
+        plan: &RkspPlan,
+        matrix: &CsrMatrix,
+    ) -> LisiResult<(RkspArtifact, usize)> {
+        let partition = st.build_partition()?;
+        let bytes = service::approx_csr_bytes(matrix.nnz(), partition.local_rows(comm.rank()));
+        let dist = DistCsrMatrix::from_local_rows(comm, partition, matrix.clone())?;
+        let operator = MatOperator::new(dist);
+        let pc = plan.ksp.make_pc(&operator)?;
+        Ok((RkspArtifact { operator: Box::new(operator), pc }, bytes))
+    }
 
-    fn solve(&self, solution: &mut [f64], status: &mut [f64]) -> LisiResult<()> {
-        self.solve_impl(solution, status, false)
+    fn setup_matrix_free(
+        &self,
+        st: &LisiState,
+        _comm: &Communicator,
+        plan: &RkspPlan,
+    ) -> LisiResult<RkspArtifact> {
+        let partition = st.build_partition()?;
+        let port = super::require_matrix_free(st)?;
+        let apply_port = Arc::clone(&port);
+        let shell = ShellOperator::new(partition, move |_, x, y| {
+            apply_port
+                .mat_mult(OperatorId::Matrix, x.local(), y.local_mut())
+                .map_err(|e| e.to_string())
+        });
+        let pc: Box<dyn Preconditioner> = if plan.matrix_free_pc {
+            Box::new(MfPc { port })
+        } else {
+            plan.ksp.make_pc(&shell)?
+        };
+        Ok(RkspArtifact { operator: Box::new(shell), pc })
+    }
+
+    fn bind<'a>(
+        &'a self,
+        _st: &'a LisiState,
+        _comm: &Communicator,
+        plan: RkspPlan,
+        artifact: &'a RkspArtifact,
+    ) -> LisiResult<(Ksp, &'a RkspArtifact)> {
+        Ok((plan.ksp, artifact))
+    }
+
+    fn solve_column(
+        (ksp, art): &mut (Ksp, &RkspArtifact),
+        comm: &Communicator,
+        b: &[f64],
+        x: &mut [f64],
+    ) -> LisiResult<Column> {
+        let partition = art.operator.partition();
+        let b = DistVector::from_local(partition.clone(), comm.rank(), b.to_vec())?;
+        let mut xv = DistVector::from_local(partition.clone(), comm.rank(), x.to_vec())?;
+        let res = ksp.solve_with_pc(comm, art.operator.as_ref(), art.pc.as_ref(), &b, &mut xv)?;
+        x.copy_from_slice(xv.local());
+        Ok(column(&res))
+    }
+
+    fn solve_batch(
+        (ksp, art): &mut (Ksp, &RkspArtifact),
+        comm: &Communicator,
+        rhs: &[f64],
+        solution: &mut [f64],
+        n_rhs: usize,
+    ) -> Option<LisiResult<Vec<Column>>> {
+        // One batched call: fused multi-vector SpMV plus per-step
+        // reductions batched across all columns (k collectives → 1).
+        let results = ksp.solve_batch_with_pc(
+            comm,
+            art.operator.as_ref(),
+            art.pc.as_ref(),
+            rhs,
+            solution,
+            n_rhs,
+        );
+        Some(results.map(|rs| rs.iter().map(column).collect()).map_err(LisiError::from))
+    }
+
+    fn ledger_labels(st: &LisiState) -> LedgerLabels {
+        LedgerLabels {
+            ksp: st.options.get("solver"),
+            pc: st.options.get("preconditioner"),
+            rtol: st
+                .options
+                .get_first(&["ksp_rtol", "tol", "rtol"])
+                .and_then(|v| v.parse().ok()),
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::traits::SparseSolverPort;
     use crate::status::{SolveReport, STATUS_LEN};
     use rcomm::Universe;
     use rsparse::BlockRowPartition;

@@ -1,4 +1,4 @@
-//! The RMG (multigrid) adapter — the multilevel member of the family
+//! The RMG (multigrid) backend — the multilevel member of the family
 //! (paper §2.2 "multilevel method support"). The operator must be a
 //! square-grid discretization (`global_cols = m²`); the hierarchy is
 //! rebuilt per matrix epoch. The coarse solver is pluggable, which is how
@@ -8,14 +8,34 @@
 use std::sync::Arc;
 
 use parking_lot::Mutex;
+use rcomm::Communicator;
 use rmg::{CoarseOperator, CoarseSolver, CycleType, Hierarchy, MgConfig, RmgSolver, Smoother};
-use rsparse::CsrMatrix;
+use rsparse::{BlockRowPartition, CsrMatrix};
 
+use super::{Backend, Column, LedgerLabels};
 use crate::error::{LisiError, LisiResult};
-use crate::service::{self, SolverService};
+use crate::service;
 use crate::state::LisiState;
-use crate::status::SolveReport;
-use crate::traits::SparseSolverPort;
+
+/// LISI over the RMG geometric multigrid package.
+pub type RmgAdapter = super::Adapter<Rmg>;
+
+/// Signature of a pluggable coarse-grid solver.
+pub type CoarseFn =
+    dyn Fn(&CsrMatrix, &[f64]) -> Result<Vec<f64>, String> + Send + Sync + 'static;
+
+/// The RMG package behind [`RmgAdapter`], with its pluggable coarse-grid
+/// solver.
+#[derive(Default)]
+pub struct Rmg {
+    coarse: Mutex<Option<Arc<CoarseFn>>>,
+}
+
+/// The cycle configuration and the grid side `m` (`global_cols = m²`).
+pub struct RmgPlan {
+    config: MgConfig,
+    side: usize,
+}
 
 /// Session-cached setup: the partition and, on rank 0, the prebuilt
 /// multigrid hierarchy (the Galerkin coarse operators are by far the
@@ -23,281 +43,203 @@ use crate::traits::SparseSolverPort;
 /// pluggable coarse-grid *solver*, which binds per solve via
 /// [`MgConfig`], so caching it is safe even across instances with
 /// different coarse callbacks.
-struct RmgArtifact {
-    partition: rsparse::BlockRowPartition,
+pub struct RmgArtifact {
+    partition: BlockRowPartition,
     hierarchy: Option<Hierarchy>,
 }
 
-/// Signature of a pluggable coarse-grid solver.
-pub type CoarseFn =
-    dyn Fn(&CsrMatrix, &[f64]) -> Result<Vec<f64>, String> + Send + Sync + 'static;
-
-/// LISI over the RMG geometric multigrid package.
-#[derive(Default)]
-pub struct RmgAdapter {
-    state: Mutex<LisiState>,
-    coarse: Mutex<Option<Arc<CoarseFn>>>,
+/// One solve's multigrid solver — built once on rank 0, which runs
+/// every cycle — and the partition the solution scatters over.
+pub struct RmgSolve<'a> {
+    partition: &'a BlockRowPartition,
+    solver: Option<RmgSolver>,
 }
 
-super::lisi_adapter_boilerplate!(RmgAdapter);
-
 impl RmgAdapter {
-    const PACKAGE_NAME: &'static str = "rmg";
-
     /// Plug a coarse-grid solver callback (e.g. another LISI solver —
     /// recursion through the interface).
     pub fn set_coarse_solver(
         &self,
         f: impl Fn(&CsrMatrix, &[f64]) -> Result<Vec<f64>, String> + Send + Sync + 'static,
     ) {
-        *self.coarse.lock() = Some(Arc::new(f));
+        *self.backend.coarse.lock() = Some(Arc::new(f));
     }
+}
 
-    fn mg_config(state: &LisiState, coarse: Option<Arc<CoarseFn>>) -> LisiResult<MgConfig> {
-        let mut cfg = MgConfig::default();
-        if let Some(c) = state.options.get("cycle") {
-            cfg.cycle = match c.to_ascii_lowercase().as_str() {
-                "v" => CycleType::V,
-                "w" => CycleType::W,
-                other => {
-                    return Err(LisiError::BadParameter {
-                        key: "cycle".into(),
-                        reason: other.into(),
-                    })
-                }
-            };
-        }
-        if let Some(s) = state.options.get("smoother") {
-            cfg.smoother = match s.to_ascii_lowercase().as_str() {
-                "jacobi" => Smoother::Jacobi {
-                    omega: state.options.get_parsed::<f64>("omega").unwrap_or(0.8),
-                },
-                "gs" | "gauss_seidel" => Smoother::GaussSeidel,
-                "sgs" | "sym_gs" => Smoother::SymGaussSeidel,
-                other => {
-                    return Err(LisiError::BadParameter {
-                        key: "smoother".into(),
-                        reason: other.into(),
-                    })
-                }
-            };
-        }
-        if let Some(n) = state.options.get_parsed::<usize>("nu1") {
-            cfg.nu1 = n;
-        }
-        if let Some(n) = state.options.get_parsed::<usize>("nu2") {
-            cfg.nu2 = n;
-        }
-        if let Some(t) = state.options.get_first(&["tol", "rtol"]) {
-            cfg.rtol = t
-                .parse()
-                .map_err(|_| LisiError::BadParameter { key: "tol".into(), reason: t.clone() })?;
-        }
-        if let Some(m) = state.options.get_first(&["maxits", "max_cycles"]) {
-            cfg.max_cycles = m.parse().map_err(|_| LisiError::BadParameter {
-                key: "maxits".into(),
-                reason: m.clone(),
-            })?;
-        }
-        if let Some(f) = coarse {
-            cfg.coarse = CoarseSolver::Callback(Box::new(move |a, b| f(a, b)));
-        }
-        Ok(cfg)
+fn mg_config(state: &LisiState, coarse: Option<Arc<CoarseFn>>) -> LisiResult<MgConfig> {
+    let mut cfg = MgConfig::default();
+    if let Some(c) = state.options.get("cycle") {
+        cfg.cycle = match c.to_ascii_lowercase().as_str() {
+            "v" => CycleType::V,
+            "w" => CycleType::W,
+            other => {
+                return Err(LisiError::BadParameter {
+                    key: "cycle".into(),
+                    reason: other.into(),
+                })
+            }
+        };
     }
-
-    /// Multi-RHS entry point: the hierarchy is shared across all columns
-    /// either way; this delegates to the common path and records the
-    /// batch in the probe counters.
-    pub fn solve_batch(&self, solution: &mut [f64], status: &mut [f64]) -> LisiResult<()> {
-        self.solve_impl(solution, status, true)
+    if let Some(s) = state.options.get("smoother") {
+        cfg.smoother = match s.to_ascii_lowercase().as_str() {
+            "jacobi" => Smoother::Jacobi {
+                omega: state.options.get_parsed::<f64>("omega").unwrap_or(0.8),
+            },
+            "gs" | "gauss_seidel" => Smoother::GaussSeidel,
+            "sgs" | "sym_gs" => Smoother::SymGaussSeidel,
+            other => {
+                return Err(LisiError::BadParameter {
+                    key: "smoother".into(),
+                    reason: other.into(),
+                })
+            }
+        };
     }
+    if let Some(n) = state.options.get_parsed::<usize>("nu1") {
+        cfg.nu1 = n;
+    }
+    if let Some(n) = state.options.get_parsed::<usize>("nu2") {
+        cfg.nu2 = n;
+    }
+    if let Some(t) = state.options.get_first(&["tol", "rtol"]) {
+        cfg.rtol = t
+            .parse()
+            .map_err(|_| LisiError::BadParameter { key: "tol".into(), reason: t.clone() })?;
+    }
+    if let Some(m) = state.options.get_first(&["maxits", "max_cycles"]) {
+        cfg.max_cycles = m.parse().map_err(|_| LisiError::BadParameter {
+            key: "maxits".into(),
+            reason: m.clone(),
+        })?;
+    }
+    if let Some(f) = coarse {
+        cfg.coarse = CoarseSolver::Callback(Box::new(move |a, b| f(a, b)));
+    }
+    Ok(cfg)
+}
 
-    fn solve_impl(
-        &self,
-        solution: &mut [f64],
-        status: &mut [f64],
-        force_batch: bool,
-    ) -> LisiResult<()> {
-        let st = self.state.lock();
-        st.check_solve_buffers(solution, status)?;
-        if super::matrix_free_requested(&st) {
+impl Backend for Rmg {
+    const NAME: &'static str = "rmg";
+    const LABEL: &'static str = "RMG";
+    type Plan = RmgPlan;
+    type Artifact = RmgArtifact;
+    type Solver<'a> = RmgSolve<'a>;
+
+    fn plan(&self, st: &LisiState) -> LisiResult<RmgPlan> {
+        if super::matrix_free_requested(st) {
             return Err(LisiError::Unsupported(
                 "RMG builds Galerkin coarse operators and needs assembled entries".into(),
             ));
         }
-        crate::ledger::arm();
-        let comm = st.comm()?;
-        let rank = comm.rank();
         let n = st.global_cols.unwrap_or(0);
-        let m = (n as f64).sqrt().round() as usize;
-        if m * m != n {
+        let side = (n as f64).sqrt().round() as usize;
+        if side * side != n {
             return Err(LisiError::Unsupported(format!(
                 "RMG requires a square-grid operator; {n} is not a perfect square"
             )));
         }
-
-        // Admission, then the cohort-agreed warm/cold branch (see the
-        // RKSP adapter for the full rationale).
-        let svc = SolverService::global();
-        let ticket = svc.admit();
-        let admitted = comm.allgather(ticket.is_ok())?.into_iter().all(|ok| ok);
-        if !admitted {
-            return Err(ticket.err().unwrap_or_else(|| {
-                LisiError::Busy("a peer rank was refused admission".into())
-            }));
-        }
-        let _ticket = ticket.expect("cohort agreed all ranks were admitted");
-
-        let (matrix, _) = st.require_system()?;
-        let key = service::SessionKey {
-            backend: Self::PACKAGE_NAME,
-            rank,
-            size: comm.size(),
-            fingerprint: service::fingerprint(
-                rank,
-                comm.size(),
-                st.start_row.unwrap_or(0),
-                n,
-                matrix.row_ptr(),
-                matrix.col_idx(),
-                matrix.values(),
-                &st.options.dump(),
-            ),
-        };
-        let hit = svc.lookup::<RmgArtifact>(&key);
-        let warm = comm.allgather(hit.is_some())?.into_iter().all(|h| h);
-        svc.record_outcome(warm);
-        let (artifact, setup_seconds) = if warm {
-            (hit.expect("cohort agreed every rank hit"), 0.0)
-        } else {
-            // Cold: gather the system to rank 0 (multigrid here is the
-            // serial member of the family; see DESIGN.md) and build the
-            // hierarchy once — previously rebuilt per right-hand side,
-            // now amortized across every column and every warm solve.
-            let setup_t = probe::SectionTimer::start("lisi_setup");
-            let partition = st.build_partition()?;
-            let dist = rsparse::DistCsrMatrix::from_local_rows(
-                comm,
-                partition.clone(),
-                matrix.clone(),
-            )?;
-            let global = dist.gather_to_root(comm, 0)?;
-            let hierarchy = match &global {
-                Some(a) => Some(
-                    Hierarchy::build(a.clone(), m, CoarseOperator::Galerkin, 20, 1, None)
-                        .map_err(LisiError::from)?,
-                ),
-                None => None,
-            };
-            // The hierarchy's coarse operators sum to O(nnz) ×
-            // levels; bill rank 0 for the gathered footprint.
-            let bytes = if rank == 0 {
-                service::approx_csr_bytes(matrix.nnz().saturating_mul(comm.size()), n)
-            } else {
-                service::approx_csr_bytes(matrix.nnz(), partition.local_rows(rank))
-            };
-            let artifact = Arc::new(RmgArtifact { partition, hierarchy });
-            svc.insert(key, Arc::clone(&artifact) as Arc<_>, bytes);
-            (artifact, setup_t.stop())
-        };
-        let partition = artifact.partition.clone();
-        let local_rows = partition.local_rows(rank);
-
-        let rhs = st.require_rhs()?;
-        let n_rhs = st.n_rhs;
-        let batch_width: usize =
-            st.options.get("nrhs").and_then(|v| v.parse().ok()).unwrap_or(1);
-        if (force_batch || batch_width >= 2) && n_rhs >= 1 {
-            probe::add(probe::Counter::RhsBatched, n_rhs as u64);
-            probe::note("batch", format!("nrhs={n_rhs}"));
-        }
-        let coarse = self.coarse.lock().clone();
-        let solve_t = probe::SectionTimer::start("lisi_solve");
-        let mut report = SolveReport {
-            converged: true,
-            setup_seconds: setup_seconds + st.convert_seconds,
-            reason: 1,
-            ..Default::default()
-        };
-        for k in 0..n_rhs {
-            let b_local = &rhs[k * local_rows..(k + 1) * local_rows];
-            let b_full = comm.gatherv(0, b_local)?;
-            let x0_local = &solution[k * local_rows..(k + 1) * local_rows];
-            let x0_full = comm.gatherv(0, x0_local)?;
-            // Rank 0 runs the cycle; outcome (solution + stats) scatters.
-            let root_out: Option<(Vec<Vec<f64>>, usize, bool, f64)> = if comm.rank() == 0 {
-                let cfg = Self::mg_config(&st, coarse.clone())?;
-                let hierarchy =
-                    artifact.hierarchy.clone().expect("root holds the cached hierarchy");
-                let solver = RmgSolver::new(hierarchy, cfg).map_err(LisiError::from)?;
-                let mut x = x0_full.expect("root gathered the guess");
-                let res = solver.solve(&b_full.expect("root gathered rhs"), &mut x)
-                    .map_err(LisiError::from)?;
-                let chunks =
-                    (0..comm.size()).map(|r| x[partition.range(r)].to_vec()).collect();
-                Some((
-                    chunks,
-                    res.cycles,
-                    res.converged,
-                    res.relative_residual,
-                ))
-            } else {
-                None
-            };
-            // Share stats, scatter solution.
-            let stats = comm.bcast(
-                0,
-                root_out
-                    .as_ref()
-                    .map(|(_, c, ok, r)| (*c, *ok, *r))
-                    .unwrap_or((0, false, 0.0)),
-            )?;
-            let mine = comm.scatter(0, root_out.map(|(chunks, _, _, _)| chunks))?;
-            solution[k * local_rows..(k + 1) * local_rows].copy_from_slice(&mine);
-            let (cycles, ok, rel) = stats;
-            report.converged &= ok;
-            report.iterations = report.iterations.max(cycles);
-            report.residual = report.residual.max(rel);
-            if !ok {
-                report.reason = -1;
-            }
-        }
-        report.solve_seconds = solve_t.stop();
-        crate::ledger::emit(
-            comm,
-            &crate::ledger::SolveInfo {
-                backend: Self::PACKAGE_NAME,
-                report: &report,
-                ksp: Some("multigrid".into()),
-                pc: st.options.get("smoother"),
-                rtol: st
-                    .options
-                    .get_first(&["tol", "rtol"])
-                    .and_then(|v| v.parse().ok()),
-                cond_estimate: None,
-                initial_residual: None,
-            },
-        );
-        report.write_into(status)?;
-        if report.converged {
-            Ok(())
-        } else {
-            Err(LisiError::Package("RMG did not converge".into()))
-        }
+        Ok(RmgPlan { config: mg_config(st, self.coarse.lock().clone())?, side })
     }
-}
 
-impl SparseSolverPort for RmgAdapter {
-    super::lisi_common_methods!();
+    /// Gather the system to rank 0 (multigrid here is the serial member
+    /// of the family; see DESIGN.md) and build the hierarchy once,
+    /// amortized across every column and every warm solve.
+    fn setup(
+        &self,
+        st: &LisiState,
+        comm: &Communicator,
+        plan: &RmgPlan,
+        matrix: &CsrMatrix,
+    ) -> LisiResult<(RmgArtifact, usize)> {
+        let rank = comm.rank();
+        let partition = st.build_partition()?;
+        let dist =
+            rsparse::DistCsrMatrix::from_local_rows(comm, partition.clone(), matrix.clone())?;
+        let hierarchy = match dist.gather_to_root(comm, 0)? {
+            Some(a) => {
+                Some(Hierarchy::build(a, plan.side, CoarseOperator::Galerkin, 20, 1, None)?)
+            }
+            None => None,
+        };
+        // The hierarchy's coarse operators sum to O(nnz) × levels; bill
+        // rank 0 for the gathered footprint.
+        let bytes = if rank == 0 {
+            service::approx_csr_bytes(
+                matrix.nnz().saturating_mul(comm.size()),
+                plan.side * plan.side,
+            )
+        } else {
+            service::approx_csr_bytes(matrix.nnz(), partition.local_rows(rank))
+        };
+        Ok((RmgArtifact { partition, hierarchy }, bytes))
+    }
 
-    fn solve(&self, solution: &mut [f64], status: &mut [f64]) -> LisiResult<()> {
-        self.solve_impl(solution, status, false)
+    fn bind<'a>(
+        &'a self,
+        _st: &'a LisiState,
+        comm: &Communicator,
+        plan: RmgPlan,
+        artifact: &'a RmgArtifact,
+    ) -> LisiResult<RmgSolve<'a>> {
+        let solver = if comm.rank() == 0 {
+            let hierarchy =
+                artifact.hierarchy.clone().expect("root holds the cached hierarchy");
+            Some(RmgSolver::new(hierarchy, plan.config)?)
+        } else {
+            None
+        };
+        Ok(RmgSolve { partition: &artifact.partition, solver })
+    }
+
+    fn solve_column(
+        s: &mut RmgSolve<'_>,
+        comm: &Communicator,
+        b: &[f64],
+        x: &mut [f64],
+    ) -> LisiResult<Column> {
+        let b_full = comm.gatherv(0, b)?;
+        let x0_full = comm.gatherv(0, x)?;
+        // Rank 0 runs the cycle; outcome (solution + stats) scatters.
+        let root_out: Option<(Vec<Vec<f64>>, usize, bool, f64)> = match &s.solver {
+            Some(solver) => {
+                let mut x = x0_full.expect("root gathered the guess");
+                let res = solver.solve(&b_full.expect("root gathered rhs"), &mut x)?;
+                let chunks =
+                    (0..comm.size()).map(|r| x[s.partition.range(r)].to_vec()).collect();
+                Some((chunks, res.cycles, res.converged, res.relative_residual))
+            }
+            None => None,
+        };
+        // Share stats, scatter solution.
+        let (cycles, ok, rel) = comm.bcast(
+            0,
+            root_out.as_ref().map(|(_, c, ok, r)| (*c, *ok, *r)).unwrap_or((0, false, 0.0)),
+        )?;
+        let mine = comm.scatter(0, root_out.map(|(chunks, _, _, _)| chunks))?;
+        x.copy_from_slice(&mine);
+        Ok(Column {
+            converged: ok,
+            iterations: cycles,
+            residual: rel,
+            reason: if ok { 1 } else { -1 },
+            cond_estimate: None,
+            initial_residual: None,
+        })
+    }
+
+    fn ledger_labels(st: &LisiState) -> LedgerLabels {
+        LedgerLabels {
+            ksp: Some("multigrid".into()),
+            pc: st.options.get("smoother"),
+            rtol: st.options.get_first(&["tol", "rtol"]).and_then(|v| v.parse().ok()),
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::traits::SparseSolverPort;
     use crate::status::{SolveReport, STATUS_LEN};
     use rcomm::Universe;
     use rsparse::BlockRowPartition;
@@ -367,7 +309,7 @@ mod tests {
             },
             ..LisiState::default()
         };
-        assert!(RmgAdapter::mg_config(&st, None).is_err());
+        assert!(mg_config(&st, None).is_err());
         let st2 = LisiState {
             options: {
                 let mut o = rkrylov::Options::new();
@@ -376,7 +318,7 @@ mod tests {
             },
             ..LisiState::default()
         };
-        assert!(RmgAdapter::mg_config(&st2, None).is_err());
+        assert!(mg_config(&st2, None).is_err());
         let st3 = LisiState {
             options: {
                 let mut o = rkrylov::Options::new();
@@ -388,7 +330,7 @@ mod tests {
             },
             ..LisiState::default()
         };
-        let cfg = RmgAdapter::mg_config(&st3, None).unwrap();
+        let cfg = mg_config(&st3, None).unwrap();
         assert_eq!(cfg.cycle, CycleType::W);
         assert_eq!(cfg.nu1, 1);
         assert_eq!(cfg.nu2, 3);

@@ -15,7 +15,7 @@ use std::sync::Arc;
 
 use cca::{CcaResult, Component, Services, WeakServices};
 
-use crate::adapters::{RaztecAdapter, RkspAdapter, RmgAdapter, RsluAdapter};
+use crate::adapters::{Adapter, Backend, RaztecAdapter, RkspAdapter, RmgAdapter, RsluAdapter};
 use crate::error::LisiResult;
 use crate::traits::{MatrixFreePort, SparseSolverPort};
 use crate::types::SparseStruct;
@@ -28,33 +28,6 @@ pub const SOLVER_PORT_TYPE: &str = "lisi.SparseSolver";
 pub const MATRIX_FREE_PORT: &str = "matrix-free";
 /// SIDL type of the matrix-free port.
 pub const MATRIX_FREE_PORT_TYPE: &str = "lisi.MatrixFree";
-
-/// Adapters that can accept a matrix-free port injection.
-pub trait MatrixFreeSink {
-    /// Hand the application's `MatrixFree` port to the adapter.
-    fn inject_matrix_free(&self, port: Arc<dyn MatrixFreePort>);
-}
-
-impl MatrixFreeSink for RkspAdapter {
-    fn inject_matrix_free(&self, port: Arc<dyn MatrixFreePort>) {
-        self.set_matrix_free(port);
-    }
-}
-impl MatrixFreeSink for RaztecAdapter {
-    fn inject_matrix_free(&self, port: Arc<dyn MatrixFreePort>) {
-        self.set_matrix_free(port);
-    }
-}
-impl MatrixFreeSink for RsluAdapter {
-    fn inject_matrix_free(&self, port: Arc<dyn MatrixFreePort>) {
-        self.set_matrix_free(port);
-    }
-}
-impl MatrixFreeSink for RmgAdapter {
-    fn inject_matrix_free(&self, port: Arc<dyn MatrixFreePort>) {
-        self.set_matrix_free(port);
-    }
-}
 
 /// The provides-port object: delegates to the adapter, and just before a
 /// solve checks whether a `MatrixFree` port has been wired to this
@@ -79,7 +52,7 @@ fn port_span(name: &'static str) -> probe::SpanGuard {
     probe::SpanGuard::enter(name)
 }
 
-impl<A: SparseSolverPort + MatrixFreeSink + 'static> SparseSolverPort for PortShim<A> {
+impl<B: Backend> SparseSolverPort for PortShim<Adapter<B>> {
     fn initialize(&self, comm: rcomm::Communicator) -> LisiResult<()> {
         let _s = port_span("port:initialize");
         self.inner.initialize(comm)
@@ -137,7 +110,7 @@ impl<A: SparseSolverPort + MatrixFreeSink + 'static> SparseSolverPort for PortSh
         let _s = port_span("port:solve");
         if let Some(services) = self.services.upgrade() {
             if let Ok(port) = services.get_port::<Arc<dyn MatrixFreePort>>(MATRIX_FREE_PORT) {
-                self.inner.inject_matrix_free(port);
+                self.inner.set_matrix_free(port);
             }
         }
         self.inner.solve(solution, status)
@@ -205,9 +178,7 @@ impl<A> SolverComponent<A> {
     }
 }
 
-impl<A: SparseSolverPort + MatrixFreeSink + Send + Sync + 'static> Component
-    for SolverComponent<A>
-{
+impl<B: Backend> Component for SolverComponent<Adapter<B>> {
     fn set_services(&mut self, services: &Services) -> CcaResult<()> {
         let shim: Arc<dyn SparseSolverPort> = Arc::new(PortShim {
             inner: Arc::clone(&self.adapter),

@@ -21,7 +21,7 @@
 //!    a different key, so stale artifacts can never be served. The hit
 //!    or miss decision must be *rank-collective* (a warm rank skipping a
 //!    collective setup while a cold rank enters it would deadlock), so
-//!    adapters agree on hit/miss with an `allreduce` before branching —
+//!    adapters agree on hit/miss with an `allgather` before branching —
 //!    see [`SolverService::lookup`]'s docs.
 //! 2. **Budgeting.** Cached artifacts are byte-accounted and evicted in
 //!    least-recently-used order once the budget set by
@@ -248,9 +248,11 @@ impl SolverService {
     /// Rank-collective protocols must not branch on this result alone:
     /// if eviction removed one rank's entry but not its peers', a warm
     /// rank would skip a collective setup the cold rank enters and the
-    /// cohort deadlocks. Adapters therefore `allreduce` (logical-and)
-    /// the per-rank hit flag and only take the warm path when *every*
-    /// rank hit.
+    /// cohort deadlocks. Adapters therefore `allgather` the per-rank hit
+    /// flag and only take the warm path when *every* rank hit — an
+    /// allgather rather than an allreduce, so the agreement does not
+    /// shift the call indices fault plans use to address the solver's
+    /// own reductions.
     pub fn lookup<T: Send + Sync + 'static>(&self, key: &SessionKey) -> Option<Arc<T>> {
         let mut inner = self.inner.lock();
         inner.tick += 1;

@@ -9,22 +9,25 @@
 
 use proptest::prelude::*;
 
-use lisi::{RkspAdapter, RsluAdapter, SparseSolverPort, SparseStruct, STATUS_LEN};
+use lisi::{
+    LisiError, RaztecAdapter, RkspAdapter, RmgAdapter, RsluAdapter, SolveReport,
+    SparseSolverPort, SparseStruct, STATUS_LEN,
+};
 use rcomm::Universe;
 use rsparse::{generate, BlockRowPartition, CsrMatrix};
 
-/// Build one adapter wired to `comm` over a row block of `a`.
+/// Wire `solver` to `comm` over a row block of `a`; returns the block.
 fn wire(
+    solver: &dyn SparseSolverPort,
     comm: &rcomm::Communicator,
     a: &CsrMatrix,
     n: usize,
     tag: &str,
     opts: &[(&str, &str)],
-) -> (RkspAdapter, std::ops::Range<usize>) {
+) -> std::ops::Range<usize> {
     let part = BlockRowPartition::even(n, comm.size());
     let range = part.range(comm.rank());
     let local = a.row_block(range.start, range.end).unwrap();
-    let solver = RkspAdapter::new();
     solver.initialize(comm.dup().unwrap()).unwrap();
     solver.set_start_row(range.start).unwrap();
     solver.set_local_rows(range.len()).unwrap();
@@ -36,7 +39,7 @@ fn wire(
     solver
         .setup_matrix(local.values(), local.row_ptr(), local.col_idx(), SparseStruct::Csr)
         .unwrap();
-    (solver, range)
+    range
 }
 
 /// Solve `k` right-hand sides two ways on `p` ranks — one `solve_batch`
@@ -56,7 +59,8 @@ fn batch_and_sequential(
     Universe::run(p, move |comm| {
         let opts: Vec<(&str, &str)> =
             opts.iter().map(|(a, b)| (a.as_str(), b.as_str())).collect();
-        let (batched, range) = wire(comm, &a, n, &tag, &opts);
+        let batched = RkspAdapter::new();
+        let range = wire(&batched, comm, &a, n, &tag, &opts);
         let rows = range.len();
         // Column-major local blocks: column j's slice of this rank.
         let mut local_rhs = Vec::with_capacity(k * rows);
@@ -69,7 +73,8 @@ fn batch_and_sequential(
         let mut status = [0.0; STATUS_LEN];
         batched.solve_batch(&mut x_batch, &mut status).unwrap();
 
-        let (single, _) = wire(comm, &a, n, &tag, &opts);
+        let single = RkspAdapter::new();
+        wire(&single, comm, &a, n, &tag, &opts);
         let mut x_seq = vec![0.0; k * rows];
         for j in 0..k {
             single.setup_rhs(&local_rhs[j * rows..(j + 1) * rows], 1).unwrap();
@@ -193,24 +198,52 @@ fn rslu_batched_solves_match_single_solves_bitwise() {
     assert_bitwise(&out, "rslu");
 }
 
+/// A backend constructor, boxed behind the port trait.
+type MakePort = fn() -> Box<dyn SparseSolverPort>;
+
+/// A backend under test: its name, a constructor, and its options.
+type BackendCase = (&'static str, MakePort, Vec<(String, String)>);
+
+/// Every LISI backend, each with options it converges under on the
+/// square `laplacian_2d` systems below.
+fn all_backends() -> Vec<BackendCase> {
+    vec![
+        ("rksp", || Box::new(RkspAdapter::new()), cg_opts()),
+        ("raztec", || Box::new(RaztecAdapter::new()), cg_opts()),
+        ("rslu", || Box::new(RsluAdapter::new()), Vec::new()),
+        ("rmg", || Box::new(RmgAdapter::new()), vec![("tol".into(), "1e-10".into())]),
+    ]
+}
+
 /// The tentpole acceptance: a second session over the same system does
-/// zero setup. The `lisi_setup` span is never opened again, and every
-/// rank records exactly one session-cache hit.
+/// zero setup, on every backend. The `lisi_setup` span is never opened
+/// again, and every rank records exactly one session-cache hit.
 #[test]
 fn warm_second_session_performs_zero_setup() {
+    for (name, make, opts) in all_backends() {
+        warm_second_session_performs_zero_setup_on(name, make, opts);
+    }
+}
+
+fn warm_second_session_performs_zero_setup_on(
+    name: &str,
+    make: MakePort,
+    opts: Vec<(String, String)>,
+) {
     let n_side = 10usize;
     let n = n_side * n_side;
     let a = generate::laplacian_2d(n_side);
     let b: Vec<f64> = (0..n).map(|i| 1.0 + (i % 3) as f64).collect();
+    let tag = format!("warm_session_{name}");
     let checks = Universe::run(3, move |comm| {
         // Span recording is lazy: force collection on so the test can
         // observe whether a solve opened the `lisi_setup` span at all.
         probe::set_forced(true);
-        let opts = cg_opts();
         let opts: Vec<(&str, &str)> =
             opts.iter().map(|(a, b)| (a.as_str(), b.as_str())).collect();
-        let solve_once = |tag: &str| {
-            let (solver, range) = wire(comm, &a, n, tag, &opts);
+        let solve_once = || {
+            let solver = make();
+            let range = wire(solver.as_ref(), comm, &a, n, &tag, &opts);
             solver.setup_rhs(&b[range.clone()], 1).unwrap();
             let mut x = vec![0.0; range.len()];
             let mut status = [0.0; STATUS_LEN];
@@ -226,9 +259,9 @@ fn warm_second_session_performs_zero_setup() {
             )
         };
         let before = snapshot();
-        let x_cold = solve_once("warm_session");
+        let x_cold = solve_once();
         let after_cold = snapshot();
-        let x_warm = solve_once("warm_session");
+        let x_warm = solve_once();
         let after_warm = snapshot();
         let bitwise = x_cold
             .iter()
@@ -237,14 +270,50 @@ fn warm_second_session_performs_zero_setup() {
         (before, after_cold, after_warm, bitwise)
     });
     for (rank, (before, cold, warm, bitwise)) in checks.iter().enumerate() {
-        assert_eq!(cold.1 - before.1, 1, "rank {rank}: cold solve is one miss");
-        assert!(cold.2 > before.2, "rank {rank}: cold solve opened lisi_setup");
-        assert_eq!(warm.0 - cold.0, 1, "rank {rank}: warm solve is one hit");
-        assert_eq!(warm.1, cold.1, "rank {rank}: warm solve is not a miss");
+        assert_eq!(cold.1 - before.1, 1, "{name} rank {rank}: cold solve is one miss");
+        assert!(cold.2 > before.2, "{name} rank {rank}: cold solve opened lisi_setup");
+        assert_eq!(warm.0 - cold.0, 1, "{name} rank {rank}: warm solve is one hit");
+        assert_eq!(warm.1, cold.1, "{name} rank {rank}: warm solve is not a miss");
         assert_eq!(
             warm.2, cold.2,
-            "rank {rank}: warm solve never opened the lisi_setup span"
+            "{name} rank {rank}: warm solve never opened the lisi_setup span"
         );
-        assert!(bitwise, "rank {rank}: warm solve reproduces the cold bits");
+        assert!(bitwise, "{name} rank {rank}: warm solve reproduces the cold bits");
+    }
+}
+
+/// A multi-RHS solve whose first column fails and whose second converges
+/// reports the *failing* column's reason code: status and error agree
+/// that the solve hit its iteration cap, not that it converged on the
+/// zero column.
+#[test]
+fn multi_rhs_status_reports_the_first_failing_column() {
+    let backends: [(&str, MakePort); 2] = [
+        ("rksp", || Box::new(RkspAdapter::new())),
+        ("raztec", || Box::new(RaztecAdapter::new())),
+    ];
+    let n_side = 8usize;
+    let n = n_side * n_side;
+    let a = generate::laplacian_2d(n_side);
+    // Column 0 is random (two CG steps cannot solve it); column 1 is zero
+    // (converged on entry).
+    let mut rhs = generate::random_vector(n, 7);
+    rhs.extend(std::iter::repeat_n(0.0, n));
+    for (name, make) in backends {
+        let out = Universe::run(1, |comm| {
+            let opts = [("solver", "cg"), ("preconditioner", "none"), ("maxits", "2")];
+            let solver = make();
+            wire(solver.as_ref(), comm, &a, n, &format!("first_fail_{name}"), &opts);
+            solver.setup_rhs(&rhs, 2).unwrap();
+            let mut x = vec![0.0; 2 * n];
+            let mut status = [0.0; STATUS_LEN];
+            let err = solver.solve(&mut x, &mut status).unwrap_err();
+            (SolveReport::from_slice(&status), err)
+        });
+        let (rep, err) = &out[0];
+        assert!(!rep.converged, "{name}: column 0 cannot converge in two steps");
+        assert_eq!(rep.reason, -1, "{name}: the status carries column 0's max-iterations reason");
+        assert!(matches!(err, LisiError::Package(_)), "{name}: {err}");
+        assert!(err.to_string().contains("reason code -1"), "{name}: {err}");
     }
 }

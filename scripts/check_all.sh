@@ -31,6 +31,11 @@ echo "== tests (RSPARSE_FORMAT=auto) =="
 RSPARSE_FORMAT=auto \
 RCOMM_DEADLOCK_TIMEOUT_SECS=${RCOMM_DEADLOCK_TIMEOUT_SECS:-30} cargo test --workspace
 
+echo "== perfbench unit tests (incl. the corrupted-solution self-test) =="
+# perfbench is a package of its own (empty [workspace]), so the
+# workspace runs above do not reach its tests.
+cargo test --release --manifest-path perfbench/Cargo.toml
+
 echo "== examples =="
 for e in quickstart solver_switching matrix_free multigrid_recursion \
          usage_scenarios formats_tour external_matrix resilience; do
