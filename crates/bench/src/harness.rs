@@ -235,32 +235,64 @@ pub fn measure_pair(
     w: &Workload,
     reps: usize,
 ) -> (f64, f64, usize) {
-    // Warm-up pass (allocators, caches) — excluded.
-    let _ = run_native(comm, package, w);
-    let _ = run_cca(comm, package, w);
-    let mut native = Vec::with_capacity(reps);
-    let mut through_cca = Vec::with_capacity(reps);
     let mut iters = 0usize;
-    for rep in 0..reps {
-        let (n, c) = if rep % 2 == 0 {
-            let n = run_native(comm, package, w);
-            let c = run_cca(comm, package, w);
-            (n, c)
-        } else {
-            let c = run_cca(comm, package, w);
-            let n = run_native(comm, package, w);
-            (n, c)
-        };
-        assert!(n.converged && c.converged, "benchmark solves must converge");
-        native.push(n.seconds);
-        through_cca.push(c.seconds);
-        iters = iters.max(c.iterations.max(n.iterations));
-    }
-    (median(&mut native), median(&mut through_cca), iters)
+    let p = alternate(reps, |cca| {
+        let r = if cca { run_cca(comm, package, w) } else { run_native(comm, package, w) };
+        assert!(r.converged, "benchmark solves must converge");
+        iters = iters.max(r.iterations);
+        r.seconds
+    });
+    (p.a, p.b, iters)
 }
 
-fn median(samples: &mut [f64]) -> f64 {
-    samples.sort_by(|a, b| a.partial_cmp(b).expect("finite timings"));
+/// Medians of an order-alternated A/B run ([`alternate`]).
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Paired {
+    /// Median seconds of side A.
+    pub(crate) a: f64,
+    /// Median seconds of side B.
+    pub(crate) b: f64,
+    /// Median per-pair ratio B/A: B's overhead over A.
+    pub(crate) b_over_a: f64,
+    /// Median per-pair ratio A/B: B's speedup over A.
+    pub(crate) a_over_b: f64,
+}
+
+/// Time side A (`run(false)`) against side B (`run(true)`) in `trials`
+/// pairs after one untimed warm-up pair. A runs first on even trials
+/// and B on odd ones, so a monotone drift in machine load biases
+/// neither side, and the per-pair ratios cancel slower drift. `run`
+/// returns the seconds of one measurement; the helper only orders and
+/// summarises them.
+pub(crate) fn alternate(trials: usize, mut run: impl FnMut(bool) -> f64) -> Paired {
+    run(false);
+    run(true);
+    let (mut a, mut b) = (Vec::with_capacity(trials), Vec::with_capacity(trials));
+    for t in 0..trials {
+        let (ta, tb) = if t % 2 == 0 {
+            let ta = run(false);
+            (ta, run(true))
+        } else {
+            let tb = run(true);
+            (run(false), tb)
+        };
+        a.push(ta);
+        b.push(tb);
+    }
+    let mut b_over_a: Vec<f64> = a.iter().zip(&b).map(|(x, y)| y / x).collect();
+    let mut a_over_b: Vec<f64> = a.iter().zip(&b).map(|(x, y)| x / y).collect();
+    Paired {
+        a: median(&mut a),
+        b: median(&mut b),
+        b_over_a: median(&mut b_over_a),
+        a_over_b: median(&mut a_over_b),
+    }
+}
+
+/// Median of `samples` (sorted in place): the middle value, or the mean
+/// of the two middle values for an even count.
+pub(crate) fn median(samples: &mut [f64]) -> f64 {
+    samples.sort_by(f64::total_cmp);
     let n = samples.len();
     if n % 2 == 1 {
         samples[n / 2]
@@ -304,6 +336,24 @@ mod tests {
         let (native, cca_s, iters) = out[0];
         assert!(native > 0.0 && cca_s > 0.0);
         assert!(iters > 0);
+    }
+
+    #[test]
+    fn median_of_an_even_count_is_the_mean_of_the_middle_pair() {
+        assert_eq!(median(&mut [4.0, 1.0, 3.0, 2.0]), 2.5);
+        assert_eq!(median(&mut [3.0, 1.0, 2.0]), 2.0);
+    }
+
+    #[test]
+    fn alternate_swaps_the_order_every_trial() {
+        let mut order = Vec::new();
+        let p = alternate(3, |b| {
+            order.push(b);
+            if b { 2.0 } else { 1.0 }
+        });
+        // Warm-up pair, then A-first, B-first, A-first.
+        assert_eq!(order, [false, true, false, true, true, false, false, true]);
+        assert_eq!((p.a, p.b, p.b_over_a, p.a_over_b), (1.0, 2.0, 2.0, 0.5));
     }
 
     #[test]

@@ -11,9 +11,14 @@
 //! The difference is the interface overhead the paper reports in
 //! Figure 5 and Table 1: format conversion/copies at the port boundary,
 //! dynamic dispatch, framework port lookup.
+//!
+//! [`guards`] holds the paired A/B overhead and speedup guards that
+//! `scripts/bench_smoke.sh` runs through the `guards` bin, on the same
+//! order-alternation helper (`harness::alternate`) as [`measure_pair`].
 
 #![warn(missing_docs)]
 
+pub mod guards;
 pub mod harness;
 pub mod tables;
 pub mod workload;

@@ -15,7 +15,7 @@
 //! crash-landing solve — and costs one relaxed atomic load plus a
 //! thread-local ring write per event. `RSPARSE_FLIGHT=off` (or
 //! [`set_enabled`]) reduces every record site to the single relaxed
-//! load, which is what the `flight_guard` bench pins down.
+//! load, which is what the `flight` bench guard pins down.
 
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::OnceLock;
@@ -123,7 +123,7 @@ pub fn enabled() -> bool {
 }
 
 /// Programmatically enable or disable flight recording (overrides the
-/// environment). The `flight_guard` bench and tests use this.
+/// environment). The `flight` bench guard and tests use this.
 pub fn set_enabled(on: bool) {
     FLIGHT.store(if on { FLIGHT_ON } else { FLIGHT_OFF }, Ordering::Relaxed);
 }

@@ -34,7 +34,7 @@
 //! events — is always on unless `RSPARSE_FLIGHT=off`; it is the black
 //! box the postmortem writer drains when a solve fails.
 //! When the probe is off, a span costs one relaxed atomic load and no
-//! allocation — verified by the `probe_overhead` bench guard — while
+//! allocation — verified by the `probe` bench guard — while
 //! counters keep counting (they are the near-zero-cost part by design).
 //!
 //! # Ranks

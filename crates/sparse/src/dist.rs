@@ -883,7 +883,7 @@ impl DistCsrMatrix {
     ///
     /// One halo exchange ships all `k` boundary columns in a single
     /// message per neighbour, and the interior/boundary kernels sweep
-    /// the matrix once per [`crate::csr::MULTI_CHUNK`]-column group
+    /// the matrix once per `csr::MULTI_CHUNK`-column group (8 columns)
     /// instead of once per column — the amortization the §17 work model
     /// [`probe::model::csr_traffic_multi`] describes. Each column's
     /// result is bit-identical to a [`Self::matvec_into`] call on that
