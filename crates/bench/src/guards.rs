@@ -270,7 +270,6 @@ fn fused_cg(a: &CsrMatrix, b: &[f64], checkpoint_every: usize) -> f64 {
             atol: 0.0,
             maxits: 40,
             keep_history: false,
-            fused_reductions: true,
             checkpoint_every,
             ..KspConfig::default()
         })

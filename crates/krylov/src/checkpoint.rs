@@ -80,6 +80,13 @@ pub fn deposit(world_rank: usize, iteration: usize, start_row: usize, x: &[f64],
     slot.filled = (slot.filled + 1).min(2);
 }
 
+/// The newest snapshot `world_rank` deposited, if any.
+pub fn newest(world_rank: usize) -> Option<Snapshot> {
+    let guard = REGISTRY.lock().unwrap_or_else(|e| e.into_inner());
+    let slot = guard.as_ref()?.get(&world_rank)?;
+    (slot.filled > 0).then(|| slot.newest.clone())
+}
+
 /// One member's `(start_row, x)` piece of a restored snapshot.
 pub type SnapshotChunk = (usize, Vec<f64>);
 
@@ -122,10 +129,17 @@ pub fn latest_consistent(world_members: &[usize]) -> Option<(usize, Vec<Snapshot
 mod tests {
     use super::*;
 
-    // Process-global registry: world ranks 800+ keep these tests out of
-    // any concurrently running solve's key space.
-
+    // Process-global registry: world ranks 800+ keep these scenarios out
+    // of any concurrently running solve's key space, and they run in
+    // sequence in one test because each one calls `clear_all`, which
+    // would wipe a sibling test's live slots.
     #[test]
+    fn registry_scenarios() {
+        consistent_set_falls_back_to_previous_generation();
+        missing_member_means_no_consistent_set();
+        deposits_recycle_buffers_without_reallocating();
+    }
+
     fn consistent_set_falls_back_to_previous_generation() {
         clear_all();
         deposit(800, 10, 0, &[1.0, 2.0], &[0.1, 0.2]);
@@ -143,7 +157,6 @@ mod tests {
         clear_all();
     }
 
-    #[test]
     fn missing_member_means_no_consistent_set() {
         clear_all();
         deposit(810, 5, 0, &[1.0], &[0.0]);
@@ -153,7 +166,6 @@ mod tests {
         assert!(latest_consistent(&[810]).is_none());
     }
 
-    #[test]
     fn deposits_recycle_buffers_without_reallocating() {
         clear_all();
         let x = vec![1.0; 64];

@@ -1,4 +1,5 @@
-//! Batched multi-RHS drivers: block CG and pseudo-block GMRES.
+//! The CG and GMRES/FGMRES drivers: block CG and pseudo-block GMRES.
+//! A single-RHS solve of either method is the `k = 1` case.
 //!
 //! Both drivers run `k` independent solves in lockstep so that every
 //! per-iteration collective carries all active columns at once: the
@@ -17,9 +18,10 @@
 //! so the active set is identical on every rank and the collective
 //! schedule never diverges.
 //!
-//! The batched drivers do not deposit elastic-recovery checkpoints
-//! (`checkpoint_every` is ignored); recovery of a batched solve re-runs
-//! it from the session's cached setup instead.
+//! A [`crate::checkpoint`] snapshot holds one column, so only `k = 1`
+//! solves deposit elastic-recovery checkpoints; a batched solve
+//! (`k > 1`) ignores `checkpoint_every`, and its recovery re-runs it from
+//! the session's cached setup instead.
 
 use rcomm::Communicator;
 use rsparse::DistVector;
@@ -30,7 +32,7 @@ use crate::result::{ConvergedReason, KspError, KspOutcome, KspResult};
 use crate::solver::{KspConfig, Monitor};
 
 /// Validate the flat column layout: `k` local columns of length `n`.
-fn check_layout(n: usize, k: usize, bs: &[f64], xs: &[f64]) -> KspOutcome<()> {
+pub(super) fn check_layout(n: usize, k: usize, bs: &[f64], xs: &[f64]) -> KspOutcome<()> {
     if k == 0 {
         return Err(KspError::BadConfig("batched solve needs k >= 1".into()));
     }
@@ -56,11 +58,28 @@ fn batch_guard(mons: &[Option<Monitor<'_, '_>>]) -> f64 {
         .fold(0.0, f64::max)
 }
 
-/// Block conjugate gradients: `k` CG solves in lockstep sharing every
-/// collective. Mirrors the fused-reduction schedule of
-/// [`super::cg::solve`] exactly per column — same operation order, same
-/// reduction contents — so column `q`'s result is bit-identical to a
-/// single CG solve of that column.
+/// Deposit the elastic-recovery snapshot `(x, r)` of a single-RHS solve.
+/// Every rank passes a checkpoint boundary on the same iteration, so the
+/// deposited generation is cohort-consistent up to the one in-flight
+/// boundary [`crate::checkpoint::latest_consistent`] tolerates.
+fn deposit(comm: &Communicator, op: &dyn LinearOperator, iteration: usize, x: &[f64], r: &[f64]) {
+    let rank = comm.rank();
+    crate::checkpoint::deposit(
+        comm.world_members()[rank],
+        iteration,
+        op.partition().start_row(rank),
+        x,
+        r,
+    );
+}
+
+/// Preconditioned conjugate gradients (Hestenes–Stiefel, for SPD
+/// operators with an SPD preconditioner), `k` solves in lockstep sharing
+/// every collective. Per iteration: one reduction for `p·q`, then the
+/// preconditioner, then one fused reduction carrying `‖r‖²`, `r·z` and
+/// the wall-clock guard. Column `q`'s result is bit-identical to a
+/// `k = 1` solve of that column. `cb` monitors column 0.
+#[allow(clippy::too_many_arguments)]
 pub(crate) fn block_cg(
     comm: &Communicator,
     op: &dyn LinearOperator,
@@ -69,6 +88,7 @@ pub(crate) fn block_cg(
     xs: &mut [f64],
     k: usize,
     cfg: &KspConfig,
+    mut cb: Option<&mut dyn probe::SolveMonitor>,
 ) -> KspOutcome<Vec<KspResult>> {
     cfg.validate()?;
     let part = op.partition().clone();
@@ -104,7 +124,7 @@ pub(crate) fn block_cg(
     let mut mons: Vec<Option<Monitor>> = Vec::with_capacity(k);
     let mut results: Vec<Option<KspResult>> = vec![None; k];
     for c in 0..k {
-        let mut mon = Monitor::new(comm, cfg, bnorms[c], r0s[c], None);
+        let mut mon = Monitor::new(comm, cfg, bnorms[c], r0s[c], cb.take());
         if let Some(reason) = mon.check(0, r0s[c]) {
             results[c] = Some(mon.finish(reason, 0, r0s[c], r0s[c]));
             mons.push(None);
@@ -135,6 +155,9 @@ pub(crate) fn block_cg(
 
     let mut iterations = 0usize;
     let mut rnorm_last = r0s.clone();
+    // The CG scalars double as Lanczos coefficients; keep them so each
+    // result can carry a condition-number estimate (see
+    // [`crate::analytics`]).
     let mut alphas: Vec<Vec<f64>> = vec![Vec::new(); k];
     let mut betas: Vec<Vec<f64>> = vec![Vec::new(); k];
 
@@ -198,11 +221,18 @@ pub(crate) fn block_cg(
             rnorm_last[c] = rnorm;
             let mon = mons[c].as_mut().unwrap();
             mon.absorb_guard(guard);
-            let reason = match mon.check(iterations, rnorm) {
-                Some(reason) => Some(reason),
-                None if rz[c] == 0.0 => Some(ConvergedReason::Breakdown),
-                None => None,
-            };
+            let mut reason = mon.check(iterations, rnorm);
+            if reason.is_none() {
+                if k == 1
+                    && cfg.checkpoint_every > 0
+                    && iterations.is_multiple_of(cfg.checkpoint_every)
+                {
+                    deposit(comm, op, iterations, xs, r[c].local());
+                }
+                if rz[c] == 0.0 {
+                    reason = Some(ConvergedReason::Breakdown);
+                }
+            }
             if let Some(reason) = reason {
                 let mut res =
                     mons[c].take().unwrap().finish(reason, iterations, r0s[c], rnorm);
@@ -255,14 +285,14 @@ impl GmresCol {
     }
 }
 
-/// Pseudo-block restarted GMRES/FGMRES: `k` independent Arnoldi
+/// Pseudo-block restarted GMRES with right preconditioning (and FGMRES,
+/// its flexible variant, with `flexible`): `k` independent Arnoldi
 /// processes advanced in lockstep (same inner index `j` every step), so
 /// the operator application is one fused multi-vector SpMV and all
 /// columns' classical-Gram–Schmidt projection coefficients ride a single
 /// `allreduce_vec` (one more for the batched `h_{j+1,j}` norms + guard).
 /// Givens rotations and back-substitution stay per-column and local.
-/// Requires `cfg.fused_reductions` (the caller routes the modified-GS
-/// schedule to sequential solves instead).
+/// `cb` monitors column 0.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn pseudo_block_gmres(
     comm: &Communicator,
@@ -273,6 +303,7 @@ pub(crate) fn pseudo_block_gmres(
     k: usize,
     cfg: &KspConfig,
     flexible: bool,
+    mut cb: Option<&mut dyn probe::SolveMonitor>,
 ) -> KspOutcome<Vec<KspResult>> {
     cfg.validate()?;
     let part = op.partition().clone();
@@ -305,7 +336,7 @@ pub(crate) fn pseudo_block_gmres(
     let mut mons: Vec<Option<Monitor>> = Vec::with_capacity(k);
     let mut results: Vec<Option<KspResult>> = vec![None; k];
     for c in 0..k {
-        let mut mon = Monitor::new(comm, cfg, bnorms[c], r0s[c], None);
+        let mut mon = Monitor::new(comm, cfg, bnorms[c], r0s[c], cb.take());
         if let Some(reason) = mon.check(0, r0s[c]) {
             results[c] = Some(mon.finish(reason, 0, r0s[c], r0s[c]));
             mons.push(None);
@@ -332,6 +363,7 @@ pub(crate) fn pseudo_block_gmres(
     let mut z_flat = vec![0.0f64; k * n];
     let mut rnorms = r0s.clone();
     let mut iterations = 0usize;
+    let mut last_checkpoint = 0usize;
 
     // Back-substitute y and apply the correction for one column whose
     // inner cycle just ended after `inner` steps.
@@ -402,8 +434,7 @@ pub(crate) fn pseudo_block_gmres(
                 pc.apply(comm, &cols[c].basis_v[j], &mut z_dv[c])?;
                 z_flat[col(c)].copy_from_slice(z_dv[c].local());
                 if flexible {
-                    let zc = z_dv[c].clone();
-                    cols[c].store_z(&zc);
+                    cols[c].store_z(&z_dv[c]);
                 }
             }
             op.apply_multi(comm, &z_flat, &mut w_flat, k)?;
@@ -458,7 +489,7 @@ pub(crate) fn pseudo_block_gmres(
                         -st.sn[i] * st.h_cols[j][i] + st.cs[i] * st.h_cols[j][i + 1];
                     st.h_cols[j][i] = t;
                 }
-                let (cg, sg) = super::gmres::givens(st.h_cols[j][j], st.h_cols[j][j + 1]);
+                let (cg, sg) = givens(st.h_cols[j][j], st.h_cols[j][j + 1]);
                 st.cs.push(cg);
                 st.sn.push(sg);
                 st.h_cols[j][j] = cg * st.h_cols[j][j] + sg * st.h_cols[j][j + 1];
@@ -537,8 +568,47 @@ pub(crate) fn pseudo_block_gmres(
                     rnorms[c],
                 ));
                 z_flat[col(c)].fill(0.0);
+            } else if k == 1
+                && cfg.checkpoint_every > 0
+                && iterations - last_checkpoint >= cfg.checkpoint_every
+            {
+                // x and the freshly recomputed true residual fully
+                // determine the restart, so no Arnoldi basis needs to be
+                // preserved: a restore warm-restarts from this x.
+                deposit(comm, op, iterations, xs, &r[c]);
+                last_checkpoint = iterations;
             }
         }
     }
     Ok(results.into_iter().map(Option::unwrap).collect())
+}
+
+/// Stable Givens rotation `(c, s)` with `c·a + s·b = r`, `−s·a + c·b = 0`.
+fn givens(a: f64, b: f64) -> (f64, f64) {
+    if b == 0.0 {
+        (1.0, 0.0)
+    } else if a.abs() < b.abs() {
+        let t = a / b;
+        let s = 1.0 / (1.0 + t * t).sqrt();
+        (s * t, s)
+    } else {
+        let t = b / a;
+        let c = 1.0 / (1.0 + t * t).sqrt();
+        (c, c * t)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::givens;
+
+    #[test]
+    fn givens_annihilates_second_component() {
+        for (a, b) in [(3.0, 4.0), (1.0, 0.0), (0.0, 2.0), (-5.0, 2.5), (1e-30, 1.0)] {
+            let (c, s) = givens(a, b);
+            let zero = -s * a + c * b;
+            assert!(zero.abs() < 1e-12 * (a.abs() + b.abs()).max(1.0), "({a},{b})");
+            assert!((c * c + s * s - 1.0).abs() < 1e-12);
+        }
+    }
 }

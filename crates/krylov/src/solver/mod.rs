@@ -3,10 +3,8 @@
 
 mod bicgstab;
 mod block;
-mod cg;
 mod cgs;
 mod chebyshev;
-mod gmres;
 mod richardson;
 mod tfqmr;
 
@@ -98,17 +96,12 @@ pub struct KspConfig {
     /// operator; `None` triggers a power-method estimate.
     pub cheby_bounds: Option<(f64, f64)>,
     /// Record the residual history into [`KspResult::history`] (costs one
-    /// Vec push per iteration). Automatically suppressed when a
+    /// Vec push per iteration; in a batched solve, each column's result
+    /// carries its own). Automatically suppressed when a
     /// [`probe::SolveMonitor`] is attached via
     /// [`Ksp::solve_monitored`] — the monitor receives the same stream,
     /// so the legacy Vec would be a duplicate allocation.
     pub keep_history: bool,
-    /// Fuse per-iteration reductions into batched `allreduce_vec` calls
-    /// (CG: residual norm + r·z in one collective; GMRES: all Arnoldi
-    /// projection dots in one collective via classical Gram–Schmidt).
-    /// Cuts the latency-bound collective count per iteration; disable to
-    /// get the textbook one-reduction-per-dot schedule.
-    pub fused_reductions: bool,
     /// Wall-clock budget in seconds (`None` = unlimited). Each rank's
     /// local deadline flag is folded into the per-iteration residual
     /// reduction, so the `TimedOut` verdict is agreed rank-wide without
@@ -142,7 +135,6 @@ impl Default for KspConfig {
             richardson_scale: 1.0,
             cheby_bounds: None,
             keep_history: true,
-            fused_reductions: true,
             max_seconds: None,
             stagnation_window: 0,
             checkpoint_every: std::env::var("RSPARSE_CHECKPOINT_EVERY")
@@ -178,8 +170,7 @@ impl KspConfig {
     /// LISI-friendly aliases): `ksp_type`/`solver`, `pc_type`/
     /// `preconditioner`, `ksp_rtol`/`tol`, `ksp_atol`, `ksp_dtol`,
     /// `ksp_max_it`/`maxits`, `ksp_gmres_restart`/`restart`,
-    /// `pc_sor_omega`, `richardson_scale`,
-    /// `ksp_fused_reductions`/`fused_reductions`.
+    /// `pc_sor_omega`, `richardson_scale`.
     pub fn from_options(opts: &Options) -> KspOutcome<Self> {
         let mut cfg = KspConfig::default();
         if let Some(v) = opts.get_first(&["ksp_type", "solver"]) {
@@ -245,17 +236,6 @@ impl KspConfig {
             cfg.checkpoint_every = v
                 .parse()
                 .map_err(|_| KspError::BadConfig(format!("bad checkpoint_every '{v}'")))?;
-        }
-        if let Some(v) = opts.get_first(&["ksp_fused_reductions", "fused_reductions"]) {
-            cfg.fused_reductions = match v.to_ascii_lowercase().as_str() {
-                "1" | "true" | "yes" | "on" => true,
-                "0" | "false" | "no" | "off" => false,
-                other => {
-                    return Err(KspError::BadConfig(format!(
-                        "bad fused_reductions '{other}' (expected a boolean)"
-                    )))
-                }
-            };
         }
         cfg.validate()?;
         Ok(cfg)
@@ -522,7 +502,7 @@ impl Ksp {
         x: &mut DistVector,
     ) -> KspOutcome<KspResult> {
         let pc = self.make_pc(op)?;
-        self.dispatch(comm, op, pc.as_ref(), b, x, None)
+        self.solve_one(comm, op, pc.as_ref(), b, x, None)
     }
 
     /// Solve with a caller-provided (possibly reused) preconditioner.
@@ -534,7 +514,7 @@ impl Ksp {
         b: &DistVector,
         x: &mut DistVector,
     ) -> KspOutcome<KspResult> {
-        self.dispatch(comm, op, pc, b, x, None)
+        self.solve_one(comm, op, pc, b, x, None)
     }
 
     /// Solve with a [`probe::SolveMonitor`] receiving the residual stream,
@@ -550,7 +530,7 @@ impl Ksp {
         mon: &mut dyn probe::SolveMonitor,
     ) -> KspOutcome<KspResult> {
         let pc = self.make_pc(op)?;
-        self.dispatch(comm, op, pc.as_ref(), b, x, Some(mon))
+        self.solve_one(comm, op, pc.as_ref(), b, x, Some(mon))
     }
 
     /// [`Self::solve_monitored`] with a caller-provided preconditioner.
@@ -563,7 +543,7 @@ impl Ksp {
         x: &mut DistVector,
         mon: &mut dyn probe::SolveMonitor,
     ) -> KspOutcome<KspResult> {
-        self.dispatch(comm, op, pc, b, x, Some(mon))
+        self.solve_one(comm, op, pc, b, x, Some(mon))
     }
 
     /// Solve `k` systems sharing the operator — `A·x_q = b_q` for the
@@ -584,11 +564,10 @@ impl Ksp {
 
     /// Batched multi-RHS solve with a caller-provided preconditioner.
     ///
-    /// CG (with fused reductions) routes to the block-CG driver and
-    /// GMRES/FGMRES to pseudo-block GMRES: `k` lockstep solves sharing
-    /// one fused multi-vector SpMV per operator application and batching
-    /// all per-column dot products into single collectives. Every other
-    /// method — and the unfused schedules — falls back to `k` sequential
+    /// CG runs the block-CG driver and GMRES/FGMRES pseudo-block GMRES:
+    /// `k` lockstep solves sharing one fused multi-vector SpMV per
+    /// operator application and batching all per-column dot products into
+    /// single collectives. Every other method runs `k` sequential
     /// single-RHS solves. In both cases column `q`'s result is
     /// bit-identical to a standalone solve of that column.
     pub fn solve_batch_with_pc(
@@ -600,126 +579,10 @@ impl Ksp {
         xs: &mut [f64],
         k: usize,
     ) -> KspOutcome<Vec<KspResult>> {
-        let _trace = probe::trace::solve_guard();
-        let _span = probe::span!("ksp_solve");
-        let cfg = &self.config;
-        probe::add(probe::Counter::RhsBatched, k as u64);
-        {
-            use probe::model::{register, KernelModel, TimeBase, WorkUnit};
-            let n = op.partition().local_rows(comm.rank()) as u64;
-            register(
-                "allreduce",
-                KernelModel {
-                    span: "allreduce",
-                    flops: 0,
-                    bytes: 1,
-                    unit: WorkUnit::Counter(probe::Counter::ReducedBytes),
-                    time: TimeBase::Total,
-                    nrhs: 1,
-                },
-            );
-            match cfg.ksp_type {
-                // Same per-column-iteration vector-op cost as single CG
-                // (KspIterations counts each column's iterations); nrhs
-                // marks the batch width for ledger attribution.
-                KspType::Cg => register(
-                    "krylov_vec_ops",
-                    KernelModel {
-                        span: "ksp_solve",
-                        flops: 12 * n,
-                        bytes: 120 * n,
-                        unit: WorkUnit::Counter(probe::Counter::KspIterations),
-                        time: TimeBase::SelfTime,
-                        nrhs: k as u64,
-                    },
-                ),
-                KspType::Gmres | KspType::Fgmres => {
-                    let proj = (cfg.restart as u64).div_ceil(2);
-                    register(
-                        "gram_schmidt",
-                        KernelModel {
-                            span: "gram_schmidt",
-                            flops: 4 * n * proj,
-                            bytes: 40 * n * proj,
-                            unit: WorkUnit::SpanCalls,
-                            time: TimeBase::Total,
-                            nrhs: k as u64,
-                        },
-                    );
-                }
-                _ => {}
-            }
-        }
-        match cfg.ksp_type {
-            KspType::Cg if cfg.fused_reductions => {
-                block::block_cg(comm, op, pc, bs, xs, k, cfg)
-            }
-            KspType::Gmres if cfg.fused_reductions => {
-                block::pseudo_block_gmres(comm, op, pc, bs, xs, k, cfg, false)
-            }
-            KspType::Fgmres if cfg.fused_reductions => {
-                block::pseudo_block_gmres(comm, op, pc, bs, xs, k, cfg, true)
-            }
-            _ => {
-                // Sequential fallback: k independent single-RHS solves
-                // (the batched entry still applies — callers get one call
-                // site and uniform accounting either way).
-                let part = op.partition().clone();
-                let n = part.local_rows(comm.rank());
-                if k == 0 {
-                    return Err(KspError::BadConfig("batched solve needs k >= 1".into()));
-                }
-                if bs.len() != k * n || xs.len() != k * n {
-                    return Err(KspError::Nonconforming(format!(
-                        "batched solve expects k*n_local = {} values per side, got b: {}, x: {}",
-                        k * n,
-                        bs.len(),
-                        xs.len()
-                    )));
-                }
-                let mut out = Vec::with_capacity(k);
-                for c in 0..k {
-                    let b = DistVector::from_local(
-                        part.clone(),
-                        comm.rank(),
-                        bs[c * n..(c + 1) * n].to_vec(),
-                    )
-                    .map_err(KspError::Sparse)?;
-                    let mut x = DistVector::from_local(
-                        part.clone(),
-                        comm.rank(),
-                        xs[c * n..(c + 1) * n].to_vec(),
-                    )
-                    .map_err(KspError::Sparse)?;
-                    let res = match cfg.ksp_type {
-                        KspType::Cg => cg::solve(comm, op, pc, &b, &mut x, cfg, None),
-                        KspType::BiCgStab => {
-                            bicgstab::solve(comm, op, pc, &b, &mut x, cfg, None)
-                        }
-                        KspType::Gmres => {
-                            gmres::solve(comm, op, pc, &b, &mut x, cfg, false, None)
-                        }
-                        KspType::Fgmres => {
-                            gmres::solve(comm, op, pc, &b, &mut x, cfg, true, None)
-                        }
-                        KspType::Cgs => cgs::solve(comm, op, pc, &b, &mut x, cfg, None),
-                        KspType::Tfqmr => tfqmr::solve(comm, op, pc, &b, &mut x, cfg, None),
-                        KspType::Richardson => {
-                            richardson::solve(comm, op, pc, &b, &mut x, cfg, None)
-                        }
-                        KspType::Chebyshev => {
-                            chebyshev::solve(comm, op, pc, &b, &mut x, cfg, None)
-                        }
-                    }?;
-                    xs[c * n..(c + 1) * n].copy_from_slice(x.local());
-                    out.push(res);
-                }
-                Ok(out)
-            }
-        }
+        self.run(comm, op, pc, Rhs::Columns { bs, xs, k }, None)
     }
 
-    fn dispatch(
+    fn solve_one(
         &self,
         comm: &Communicator,
         op: &dyn LinearOperator,
@@ -728,16 +591,41 @@ impl Ksp {
         x: &mut DistVector,
         cb: Option<&mut dyn probe::SolveMonitor>,
     ) -> KspOutcome<KspResult> {
+        let mut results = self.run(comm, op, pc, Rhs::Vector { b, x }, cb)?;
+        Ok(results.pop().expect("one result per right-hand side"))
+    }
+
+    /// The one solve entry. CG and GMRES/FGMRES run the block drivers at
+    /// the batch width (`k = 1` for a single vector); every other method
+    /// runs its single-vector driver, once per column of a batch.
+    fn run(
+        &self,
+        comm: &Communicator,
+        op: &dyn LinearOperator,
+        pc: &dyn Preconditioner,
+        rhs: Rhs<'_>,
+        cb: Option<&mut dyn probe::SolveMonitor>,
+    ) -> KspOutcome<Vec<KspResult>> {
         // Open a causal trace for this solve (inert unless tracing is
         // armed) before the span so the span lands inside the trace.
         let _trace = probe::trace::solve_guard();
         let _span = probe::span!("ksp_solve");
         let cfg = &self.config;
+        let k = match rhs {
+            Rhs::Vector { .. } => 1,
+            Rhs::Columns { k, .. } => {
+                probe::add(probe::Counter::RhsBatched, k as u64);
+                k
+            }
+        };
         // Work models for the solver-owned kernels, from the config and
         // the operator's partition. The collective payload model joins
         // with the ReducedBytes counter (message sizes vary per call);
         // the CG vector-op model rides the ksp_solve *self* time — the
-        // matvec/sptrsv/allreduce children carry their own models.
+        // matvec/sptrsv/allreduce children carry their own models. The
+        // per-iteration costs are per column (KspIterations counts each
+        // column's iterations); nrhs marks the batch width for ledger
+        // attribution.
         {
             use probe::model::{register, KernelModel, TimeBase, WorkUnit};
             let n = op.partition().local_rows(comm.rank()) as u64;
@@ -764,7 +652,7 @@ impl Ksp {
                         bytes: 120 * n,
                         unit: WorkUnit::Counter(probe::Counter::KspIterations),
                         time: TimeBase::SelfTime,
-                        nrhs: 1,
+                        nrhs: k as u64,
                     },
                 ),
                 // Per inner GMRES iteration, averaged over a restart
@@ -780,22 +668,79 @@ impl Ksp {
                             bytes: 40 * n * proj,
                             unit: WorkUnit::SpanCalls,
                             time: TimeBase::Total,
-                            nrhs: 1,
+                            nrhs: k as u64,
                         },
                     );
                 }
                 _ => {}
             }
         }
-        match cfg.ksp_type {
-            KspType::Cg => cg::solve(comm, op, pc, b, x, cfg, cb),
-            KspType::BiCgStab => bicgstab::solve(comm, op, pc, b, x, cfg, cb),
-            KspType::Gmres => gmres::solve(comm, op, pc, b, x, cfg, false, cb),
-            KspType::Fgmres => gmres::solve(comm, op, pc, b, x, cfg, true, cb),
-            KspType::Cgs => cgs::solve(comm, op, pc, b, x, cfg, cb),
-            KspType::Tfqmr => tfqmr::solve(comm, op, pc, b, x, cfg, cb),
-            KspType::Richardson => richardson::solve(comm, op, pc, b, x, cfg, cb),
-            KspType::Chebyshev => chebyshev::solve(comm, op, pc, b, x, cfg, cb),
+        let single: SingleSolve = match cfg.ksp_type {
+            KspType::Cg => {
+                let (bs, xs, k) = rhs.columns();
+                return block::block_cg(comm, op, pc, bs, xs, k, cfg, cb);
+            }
+            KspType::Gmres | KspType::Fgmres => {
+                let flexible = cfg.ksp_type == KspType::Fgmres;
+                let (bs, xs, k) = rhs.columns();
+                return block::pseudo_block_gmres(comm, op, pc, bs, xs, k, cfg, flexible, cb);
+            }
+            KspType::BiCgStab => bicgstab::solve,
+            KspType::Cgs => cgs::solve,
+            KspType::Tfqmr => tfqmr::solve,
+            KspType::Richardson => richardson::solve,
+            KspType::Chebyshev => chebyshev::solve,
+        };
+        match rhs {
+            Rhs::Vector { b, x } => Ok(vec![single(comm, op, pc, b, x, cfg, cb)?]),
+            Rhs::Columns { bs, xs, k } => {
+                let part = op.partition();
+                let n = part.local_rows(comm.rank());
+                block::check_layout(n, k, bs, xs)?;
+                let vector = |v: &[f64]| {
+                    DistVector::from_local(part.clone(), comm.rank(), v.to_vec())
+                        .map_err(KspError::Sparse)
+                };
+                (0..k)
+                    .map(|c| {
+                        let col = c * n..(c + 1) * n;
+                        let b = vector(&bs[col.clone()])?;
+                        let mut x = vector(&xs[col.clone()])?;
+                        let res = single(comm, op, pc, &b, &mut x, cfg, None)?;
+                        xs[col].copy_from_slice(x.local());
+                        Ok(res)
+                    })
+                    .collect()
+            }
+        }
+    }
+}
+
+/// A single-vector Krylov driver (every method but CG and GMRES/FGMRES).
+type SingleSolve = fn(
+    &Communicator,
+    &dyn LinearOperator,
+    &dyn Preconditioner,
+    &DistVector,
+    &mut DistVector,
+    &KspConfig,
+    Option<&mut dyn probe::SolveMonitor>,
+) -> KspOutcome<KspResult>;
+
+/// The right-hand sides of one solve: a distributed vector pair, or `k`
+/// local columns stored contiguously (column `q` at
+/// `[q·n_local .. (q+1)·n_local]`).
+enum Rhs<'v> {
+    Vector { b: &'v DistVector, x: &'v mut DistVector },
+    Columns { bs: &'v [f64], xs: &'v mut [f64], k: usize },
+}
+
+impl<'v> Rhs<'v> {
+    /// The flat-column view the block drivers take; a vector is one column.
+    fn columns(self) -> (&'v [f64], &'v mut [f64], usize) {
+        match self {
+            Rhs::Vector { b, x } => (b.local(), x.local_mut(), 1),
+            Rhs::Columns { bs, xs, k } => (bs, xs, k),
         }
     }
 }
@@ -1121,10 +1066,9 @@ mod tests {
 
     /// The batched drivers' core contract: every column of a
     /// `solve_batch` is bit-identical — iterate bits, iteration count and
-    /// verdict — to a standalone single-RHS solve of that column, for the
-    /// block-CG and pseudo-block GMRES/FGMRES paths, serial and
-    /// multi-rank, at several batch widths (k = 1 exercises the block
-    /// driver against the plain driver directly).
+    /// verdict — to a standalone single-RHS solve (the `k = 1` case) of
+    /// that column, for the block-CG and pseudo-block GMRES/FGMRES paths,
+    /// serial and multi-rank, at several batch widths.
     #[test]
     fn batched_solves_match_single_solves_bitwise() {
         let a = generate::laplacian_2d(6);

@@ -41,7 +41,7 @@ fn run_solver(
 
 #[test]
 fn monitored_stream_matches_legacy_history() {
-    for ksp_type in [KspType::Cg, KspType::Gmres, KspType::BiCgStab] {
+    for ksp_type in [KspType::Cg, KspType::Gmres, KspType::Fgmres, KspType::BiCgStab] {
         for p in [1, 4] {
             for (legacy, monitored, mon) in run_solver(ksp_type, p) {
                 assert_eq!(

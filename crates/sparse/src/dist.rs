@@ -888,7 +888,8 @@ impl DistCsrMatrix {
     /// [`probe::model::csr_traffic_multi`] describes. Each column's
     /// result is bit-identical to a [`Self::matvec_into`] call on that
     /// column alone (same kernels' per-column accumulation order, same
-    /// halo values).
+    /// halo values). A single column (`k == 1`) runs the single-vector
+    /// kernel itself, so a k = 1 Krylov solve pays no batching overhead.
     pub fn matvec_multi_into(
         &self,
         comm: &Communicator,
@@ -910,6 +911,9 @@ impl DistCsrMatrix {
                 expected: k * n_local,
                 got: ys.len(),
             });
+        }
+        if k == 1 {
+            return self.matvec_local(comm, xs, ys);
         }
         let mut guard = self.multi_workspace.lock().unwrap_or_else(|e| e.into_inner());
         if guard.as_ref().map(|w| w.k) != Some(k) {
@@ -1131,6 +1135,13 @@ impl DistCsrMatrix {
                 "matvec vector partition differs from matrix partition".into(),
             ));
         }
+        self.matvec_local(comm, &x.local, y.local_mut())
+    }
+
+    /// The body of [`Self::matvec_into`] over local slices (`x` and `y`
+    /// of length `local_rows`): shared with the `k == 1` case of
+    /// [`Self::matvec_multi_into`].
+    fn matvec_local(&self, comm: &Communicator, x: &[f64], yl: &mut [f64]) -> SparseResult<()> {
         let n_local = self.local_rows();
         let mut guard = self.workspace.lock().unwrap_or_else(|e| e.into_inner());
         let ws = &mut *guard;
@@ -1142,7 +1153,7 @@ impl DistCsrMatrix {
         {
             let _s = probe::span!("halo_post");
             for (slot, (dest, idxs)) in self.plan.sends.iter().enumerate() {
-                let payload = ws.stage_send(slot, idxs, &x.local);
+                let payload = ws.stage_send(slot, idxs, x);
                 probe::incr(probe::Counter::HaloMessages);
                 probe::add(
                     probe::Counter::HaloBytes,
@@ -1154,14 +1165,13 @@ impl DistCsrMatrix {
 
         // 2. Interior rows depend only on owned entries: compute them now,
         //    while the halos are in flight.
-        let yl = y.local_mut();
         if overlap {
             let _s = probe::span!("spmv_interior");
-            self.spmv_interior(&x.local, yl);
+            self.spmv_interior(x, yl);
         }
 
         // 3. Drain the halo receives (out of order when overlapping).
-        ws.ext[..n_local].copy_from_slice(&x.local);
+        ws.ext[..n_local].copy_from_slice(x);
         {
             let _lat = probe::hist::HistTimer::start(probe::hist::Hist::HaloDrain);
             let _s = probe::span!("halo_drain");
@@ -1169,7 +1179,7 @@ impl DistCsrMatrix {
         }
         if !overlap {
             let _s = probe::span!("spmv_interior");
-            self.spmv_interior(&x.local, yl);
+            self.spmv_interior(x, yl);
         }
 
         // 4. Boundary rows against the ghost-extended vector.
