@@ -7,16 +7,18 @@
 //! scenarios (b)–(d) exercise:
 //!
 //! 1. **Analyze** — choose a fill-reducing column ordering ([`ordering`]:
-//!    natural, reverse Cuthill–McKee, minimum degree) and build the
-//!    [`symbolic::Symbolic`] context (column elimination tree, postorder);
+//!    natural, reverse Cuthill–McKee, or exact-degree minimum degree on a
+//!    quotient graph) and build the [`symbolic::Symbolic`] context
+//!    (column elimination tree, postorder);
 //! 2. **Factorize** — left-looking Gilbert–Peierls sparse LU with partial
 //!    pivoting ([`lu`]), producing `P·A·Q = L·U`;
 //! 3. **Solve** — permuted triangular solves, optionally with one step of
 //!    iterative refinement, reusing the factors across right-hand sides.
 //!
 //! The parallel driver ([`solver::DistRslu`]) gathers a block-row
-//! distributed system to rank 0, factors, and scatters the solution — a
-//! documented substitution (interface-overhead experiments measure the
+//! distributed system to rank 0, factors, and scatters the solution;
+//! rank 0's typed error reaches every rank through the same collective —
+//! a documented substitution (interface-overhead experiments measure the
 //! call path, not direct-solver scalability; see DESIGN.md).
 
 #![warn(missing_docs)]

@@ -74,6 +74,9 @@ impl LuFactorization {
             pattern: Vec::with_capacity(n),
             mark: vec![false; n],
         };
+        // Per-column U and L entries, reused across columns.
+        let mut ucol: Vec<(usize, f64)> = Vec::new();
+        let mut lcol: Vec<(usize, f64)> = Vec::new();
 
         for (j, &old_col) in sym.col_perm.iter().enumerate() {
             let (arows, avals) = acsc.col(old_col);
@@ -157,8 +160,8 @@ impl LuFactorization {
             // --- Gather into U (pivotal rows) and L (non-pivotal rows).
             // U rows are pivot positions (already final); sort for CSC
             // invariants.
-            let mut ucol: Vec<(usize, f64)> = Vec::new();
-            let mut lcol: Vec<(usize, f64)> = Vec::new();
+            ucol.clear();
+            lcol.clear();
             for &node in &work.pattern {
                 let v = work.x[node];
                 work.x[node] = 0.0;
@@ -181,12 +184,12 @@ impl LuFactorization {
             // original numbering), then the sub-diagonal entries.
             l_rows.push(pivot_row);
             l_vals.push(1.0);
-            for (r, v) in lcol {
+            for &(r, v) in &lcol {
                 l_rows.push(r);
                 l_vals.push(v);
             }
             l_ptr.push(l_rows.len());
-            for (r, v) in ucol {
+            for &(r, v) in &ucol {
                 u_rows.push(r);
                 u_vals.push(v);
             }

@@ -1,8 +1,13 @@
 //! Fill-reducing orderings: natural, reverse Cuthill–McKee, and minimum
 //! degree on the symmetrized pattern — the `permc_spec` choices of
-//! SuperLU.
+//! SuperLU. Minimum degree runs on a quotient graph, where each
+//! eliminated vertex stands for the clique an explicit elimination graph
+//! would store, and it keeps exact degrees.
 
 use rsparse::CsrMatrix;
+
+#[cfg(test)]
+mod reference;
 
 /// Ordering strategy for the analyze phase.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -89,45 +94,115 @@ pub fn rcm(a: &CsrMatrix) -> Vec<usize> {
     order
 }
 
-/// Minimum degree on the symmetrized pattern with explicit clique
-/// formation on elimination. Vertex selection uses a lazy-deletion binary
-/// heap keyed by `(degree, vertex)` — stale entries are skipped on pop —
-/// so selection costs O(log n) amortized instead of an O(n) scan, which
-/// keeps the ordering usable at the benchmark sizes (n ≈ 10⁵).
+/// Minimum degree on the symmetrized pattern, run on a quotient graph
+/// (the structure of AMD and of SuperLU's MMD) instead of an explicit
+/// elimination graph.
+///
+/// Each variable keeps its original neighbour list and a list of
+/// adjacent *elements*. Eliminating pivot `p` turns it into an element
+/// whose variable list `Lp` is its live variable neighbours plus the
+/// variables of the elements adjacent to `p`, which `p` absorbs. Each
+/// `i ∈ Lp` then drops `Lp` from its variable list and gets `p` in its
+/// element list, and its degree is recomputed **exactly** — `|Lp| − 1`
+/// plus the members of its other lists outside `Lp`, deduplicated with
+/// stamps. An element whose variables all lie in `Lp` is absorbed too
+/// (aggressive absorption, which cannot change an exact degree). There
+/// is no approximate degree, supervariable detection or mass
+/// elimination, so the pivot sequence is exactly that of eliminating
+/// vertex by vertex with explicit clique formation: the minimum of
+/// `(degree, vertex)` among the remaining vertices at every step.
+///
+/// Selection uses a lazy-deletion binary heap keyed by `(degree,
+/// vertex)`; a vertex is pushed again only when its degree changes, and
+/// stale entries are skipped on pop.
 pub fn min_degree(a: &CsrMatrix) -> Vec<usize> {
     use std::cmp::Reverse;
     use std::collections::BinaryHeap;
 
     let n = a.rows();
-    let mut adj: Vec<std::collections::BTreeSet<usize>> =
-        sym_adjacency(a).into_iter().map(|v| v.into_iter().collect()).collect();
+    // Live variable neighbours not (yet) reached through an element.
+    let mut vars = sym_adjacency(a);
+    // Elements adjacent to each variable, and the variables of each
+    // element (an element is named by its pivot).
+    let mut elems: Vec<Vec<usize>> = vec![Vec::new(); n];
+    let mut members: Vec<Vec<usize>> = vec![Vec::new(); n];
     let mut eliminated = vec![false; n];
-    let mut order = Vec::with_capacity(n);
-    // Lazy heap: (degree, vertex); entries go stale when a vertex's
-    // degree changes — validated against `adj` on pop.
+    let mut absorbed = vec![false; n];
+    let mut degree: Vec<usize> = vars.iter().map(Vec::len).collect();
+    // `stamp[x] == tag` marks x as seen in the current scan.
+    let mut stamp = vec![0usize; n];
+    let mut clock = 0usize;
     let mut heap: BinaryHeap<Reverse<(usize, usize)>> = BinaryHeap::with_capacity(2 * n);
-    for (v, nb) in adj.iter().enumerate() {
-        heap.push(Reverse((nb.len(), v)));
+    for (v, &d) in degree.iter().enumerate() {
+        heap.push(Reverse((d, v)));
     }
+    let mut order = Vec::with_capacity(n);
     while order.len() < n {
-        let Reverse((deg, v)) = heap.pop().expect("one live entry per vertex remains");
-        if eliminated[v] || deg != adj[v].len() {
+        let Reverse((d, p)) = heap.pop().expect("one live entry per vertex remains");
+        if eliminated[p] || d != degree[p] {
             continue; // stale
         }
-        eliminated[v] = true;
-        order.push(v);
-        // Form the elimination clique among v's remaining neighbours.
-        let nbrs: Vec<usize> = adj[v].iter().copied().filter(|&u| !eliminated[u]).collect();
-        for &u in &nbrs {
-            adj[u].remove(&v);
-            for &w in &nbrs {
-                if w != u {
-                    adj[u].insert(w);
+        eliminated[p] = true;
+        order.push(p);
+
+        // Lp: p's variable neighbours plus the variables of its elements,
+        // which p absorbs. `lp_tag` marks Lp ∪ {p}.
+        clock += 1;
+        let lp_tag = clock;
+        stamp[p] = lp_tag;
+        let mut lp = std::mem::take(&mut vars[p]);
+        for &x in &lp {
+            stamp[x] = lp_tag;
+        }
+        for e in std::mem::take(&mut elems[p]) {
+            if absorbed[e] {
+                continue;
+            }
+            absorbed[e] = true;
+            for x in std::mem::take(&mut members[e]) {
+                if stamp[x] != lp_tag {
+                    stamp[x] = lp_tag;
+                    lp.push(x);
                 }
             }
-            heap.push(Reverse((adj[u].len(), u)));
         }
-        adj[v].clear();
+
+        // Update every i ∈ Lp and recompute its exact external degree.
+        for &i in &lp {
+            clock += 1;
+            let tag = clock;
+            vars[i].retain(|&x| stamp[x] != lp_tag);
+            for &x in &vars[i] {
+                stamp[x] = tag;
+            }
+            let mut deg = lp.len() - 1 + vars[i].len();
+            elems[i].retain(|&e| {
+                if absorbed[e] {
+                    return false;
+                }
+                let mut outside = false;
+                for &x in &members[e] {
+                    if stamp[x] != lp_tag {
+                        outside = true;
+                        if stamp[x] != tag {
+                            stamp[x] = tag;
+                            deg += 1;
+                        }
+                    }
+                }
+                if !outside {
+                    absorbed[e] = true;
+                    members[e] = Vec::new();
+                }
+                outside
+            });
+            elems[i].push(p);
+            if deg != degree[i] {
+                degree[i] = deg;
+                heap.push(Reverse((deg, i)));
+            }
+        }
+        members[p] = lp;
     }
     order
 }
@@ -164,8 +239,51 @@ pub fn bandwidth(a: &CsrMatrix, perm: &[usize]) -> usize {
 
 #[cfg(test)]
 mod tests {
+    use super::reference::min_degree_reference;
     use super::*;
     use rsparse::generate;
+
+    fn star(n: usize) -> CsrMatrix {
+        let mut coo = rsparse::CooMatrix::new(n, n);
+        for i in 0..n {
+            coo.push(i, i, 2.0).unwrap();
+        }
+        for leaf in 1..n {
+            coo.push(0, leaf, -1.0).unwrap();
+            coo.push(leaf, 0, -1.0).unwrap();
+        }
+        coo.to_csr()
+    }
+
+    fn two_components() -> CsrMatrix {
+        let mut coo = rsparse::CooMatrix::new(6, 6);
+        for i in 0..6 {
+            coo.push(i, i, 1.0).unwrap();
+        }
+        coo.push(0, 1, 1.0).unwrap();
+        coo.push(1, 0, 1.0).unwrap();
+        coo.push(4, 5, 1.0).unwrap();
+        coo.push(5, 4, 1.0).unwrap();
+        coo.to_csr()
+    }
+
+    #[test]
+    fn min_degree_matches_the_explicit_clique_reference() {
+        let mut cases: Vec<(String, CsrMatrix)> = [8usize, 20, 50]
+            .into_iter()
+            .map(|m| (format!("paper_problem({m})"), rmesh::paper_problem(m).assemble_global().0))
+            .collect();
+        cases.push(("laplacian_2d(12)".into(), generate::laplacian_2d(12)));
+        cases.push(("star(8)".into(), star(8)));
+        cases.push(("two components".into(), two_components()));
+        cases.push(("identity(7)".into(), CsrMatrix::identity(7)));
+        cases.push(("1x1".into(), CsrMatrix::identity(1)));
+        for (name, a) in &cases {
+            let got = min_degree(a);
+            assert!(is_permutation(&got, a.rows()), "{name}");
+            assert_eq!(got, min_degree_reference(a), "{name}");
+        }
+    }
 
     #[test]
     fn all_orderings_produce_valid_permutations() {
@@ -200,16 +318,7 @@ mod tests {
         // Star graph: center 0 has degree n−1, leaves degree 1. Minimum
         // degree must eliminate all leaves before the center.
         let n = 8;
-        let mut coo = rsparse::CooMatrix::new(n, n);
-        for i in 0..n {
-            coo.push(i, i, 2.0).unwrap();
-        }
-        for leaf in 1..n {
-            coo.push(0, leaf, -1.0).unwrap();
-            coo.push(leaf, 0, -1.0).unwrap();
-        }
-        let a = coo.to_csr();
-        let order = min_degree(&a);
+        let order = min_degree(&star(n));
         // Once all but one leaf is gone the center's degree drops to 1 and
         // it may tie with the final leaf, so the center lands in one of
         // the last two positions — never earlier.
@@ -220,15 +329,7 @@ mod tests {
     #[test]
     fn orderings_handle_disconnected_graphs() {
         // Block diagonal with two components.
-        let mut coo = rsparse::CooMatrix::new(6, 6);
-        for i in 0..6 {
-            coo.push(i, i, 1.0).unwrap();
-        }
-        coo.push(0, 1, 1.0).unwrap();
-        coo.push(1, 0, 1.0).unwrap();
-        coo.push(4, 5, 1.0).unwrap();
-        coo.push(5, 4, 1.0).unwrap();
-        let a = coo.to_csr();
+        let a = two_components();
         assert!(is_permutation(&rcm(&a), 6));
         assert!(is_permutation(&min_degree(&a), 6));
     }

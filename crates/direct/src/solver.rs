@@ -2,6 +2,8 @@
 //! options and statistics, plus the distributed gather/solve/scatter
 //! front-end for block-row partitioned systems.
 
+use std::borrow::Cow;
+
 use rcomm::Communicator;
 use rsparse::{BlockRowPartition, CsrMatrix, DistCsrMatrix, DistVector};
 
@@ -72,6 +74,28 @@ fn equilibrate(a: &CsrMatrix) -> RsluResult<(CsrMatrix, Vec<f64>, Vec<f64>)> {
     Ok((scaled, r, c))
 }
 
+/// Equilibration scales `(row, col)`.
+type Scales = (Vec<f64>, Vec<f64>);
+
+/// The numeric phase shared by factorize and refactorize: equilibrate
+/// when enabled (the matrix is borrowed as is otherwise), then factor.
+fn factor_numeric(
+    a: &CsrMatrix,
+    sym: &Symbolic,
+    options: &RsluOptions,
+) -> RsluResult<(LuFactorization, Option<Scales>)> {
+    let _span = probe::span!("rslu_factor");
+    probe::incr(probe::Counter::FactorCalls);
+    let (work, scales) = if options.equilibrate {
+        let (scaled, r, c) = equilibrate(a)?;
+        (Cow::Owned(scaled), Some((r, c)))
+    } else {
+        (Cow::Borrowed(a), None)
+    };
+    let lu = LuFactorization::factor(&work, sym, options.pivot_threshold)?;
+    Ok((lu, scales))
+}
+
 /// Statistics from the last factorization/solve.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct RsluStats {
@@ -101,8 +125,8 @@ pub struct RsluSolver {
     symbolic: Option<Symbolic>,
     factors: Option<LuFactorization>,
     matrix: Option<CsrMatrix>,
-    /// Equilibration scales `(row, col)` when enabled.
-    scales: Option<(Vec<f64>, Vec<f64>)>,
+    /// Equilibration scales when enabled.
+    scales: Option<Scales>,
     stats: RsluStats,
 }
 
@@ -141,16 +165,8 @@ impl RsluSolver {
         if need_analysis {
             self.analyze(a)?;
         }
-        let _span = probe::span!("rslu_factor");
-        probe::incr(probe::Counter::FactorCalls);
-        let (work, scales) = if self.options.equilibrate {
-            let (scaled, r, c) = equilibrate(a)?;
-            (scaled, Some((r, c)))
-        } else {
-            (a.clone(), None)
-        };
         let sym = self.symbolic.as_ref().expect("set above");
-        let lu = LuFactorization::factor(&work, sym, self.options.pivot_threshold)?;
+        let (lu, scales) = factor_numeric(a, sym, &self.options)?;
         self.stats.fill = lu.fill();
         self.stats.nnz = a.nnz();
         self.stats.factorizations += 1;
@@ -170,17 +186,8 @@ impl RsluSolver {
             return Err(RsluError::PatternMismatch { expected: a.nnz(), got: values.len() });
         }
         a.values_mut().copy_from_slice(values);
-        let a = a.clone();
-        let _span = probe::span!("rslu_factor");
-        probe::incr(probe::Counter::FactorCalls);
-        let (work, scales) = if self.options.equilibrate {
-            let (scaled, r, c) = equilibrate(&a)?;
-            (scaled, Some((r, c)))
-        } else {
-            (a.clone(), None)
-        };
         let sym = self.symbolic.as_ref().expect("factorize set it");
-        let lu = LuFactorization::factor(&work, sym, self.options.pivot_threshold)?;
+        let (lu, scales) = factor_numeric(a, sym, &self.options)?;
         self.stats.fill = lu.fill();
         self.stats.factorizations += 1;
         self.factors = Some(lu);
@@ -301,28 +308,25 @@ impl DistRslu {
     }
 
     /// Factor a distributed matrix (gather happens here). Collective.
+    /// Rank 0's verdict is broadcast, so every rank returns the same
+    /// typed [`RsluError`] (e.g. `Singular { column }`).
     pub fn factorize(&mut self, comm: &Communicator, a: &DistCsrMatrix) -> RsluResult<()> {
         let _span = probe::span!("rslu_dist_factor");
-        let gathered = a.gather_to_root(comm, 0)?;
-        let ok_flag = if comm.rank() == 0 {
-            let global = gathered.expect("root receives the gathered matrix");
-            match self.inner.factorize(&global) {
-                Ok(()) => None,
-                Err(e) => Some(format!("{e}")),
-            }
-        } else {
-            None
+        let verdict = match a.gather_to_root(comm, 0)? {
+            Some(global) => self.inner.factorize(&global).err(),
+            None => None,
         };
-        // Broadcast success/failure so all ranks agree.
-        let err = comm.bcast(0, ok_flag)?;
-        match err {
+        match comm.bcast(0, verdict)? {
             None => Ok(()),
-            Some(msg) => Err(RsluError::Sparse(msg)),
+            Some(e) => Err(e),
         }
     }
 
     /// Solve with the factors held on rank 0; every rank passes its rhs
-    /// chunk and receives its solution chunk. Collective.
+    /// chunk and receives its solution chunk. Collective: rank 0 reaches
+    /// the scatter whatever its solve returns, and each chunk carries
+    /// either that rank's slice of x or rank 0's typed error, so a
+    /// failure ends the call on every rank after the one collective.
     pub fn solve(
         &mut self,
         comm: &Communicator,
@@ -331,23 +335,13 @@ impl DistRslu {
     ) -> RsluResult<DistVector> {
         let _trace = probe::trace::solve_guard();
         let _span = probe::span!("rslu_dist_solve");
-        let b_full = b.gather_to_root(comm, 0)?;
-        let chunks: Option<Vec<Vec<f64>>> = if comm.rank() == 0 {
-            let full = b_full.expect("root receives the gathered rhs");
-            let x = self.inner.solve(&full)?;
-            Some(
-                (0..comm.size())
-                    .map(|r| {
-                        let range = partition.range(r);
-                        x[range].to_vec()
-                    })
-                    .collect(),
-            )
-        } else {
-            None
-        };
-        let mine = comm.scatter(0, chunks)?;
-        Ok(DistVector::from_local(partition.clone(), comm.rank(), mine)?)
+        let chunks = b.gather_to_root(comm, 0)?.map(|full| match self.inner.solve(&full) {
+            Ok(x) => (0..comm.size()).map(|r| vec![Ok(x[partition.range(r)].to_vec())]).collect(),
+            Err(e) => vec![vec![Err(e)]; comm.size()],
+        });
+        let mine: RsluResult<Vec<f64>> =
+            comm.scatter(0, chunks)?.pop().expect("one verdict per rank");
+        Ok(DistVector::from_local(partition.clone(), comm.rank(), mine?)?)
     }
 
     /// [`DistRslu::factorize`] streaming the phase duration (gather +
@@ -603,12 +597,30 @@ mod tests {
             coo.push(i, 0, 1.0).unwrap();
         }
         let a = coo.to_csr();
+        let expected = RsluSolver::default().factorize(&a).unwrap_err();
+        assert!(matches!(expected, RsluError::Singular { .. }), "{expected:?}");
         let out = Universe::run(2, |comm| {
             let part = BlockRowPartition::even(4, comm.size());
             let da = DistCsrMatrix::from_global(comm, part, &a).unwrap();
             let mut solver = DistRslu::new(RsluOptions::default());
-            solver.factorize(comm, &da).is_err()
+            solver.factorize(comm, &da).unwrap_err()
         });
-        assert_eq!(out, vec![true, true], "both ranks must see the failure");
+        assert_eq!(out, vec![expected.clone(), expected], "both ranks see the same column");
+    }
+
+    #[test]
+    fn distributed_solve_before_factorize_fails_alike_on_every_rank() {
+        let n = 12;
+        let b = generate::random_vector(n, 5);
+        for p in [2usize, 3] {
+            let out = Universe::run(p, |comm| {
+                let part = BlockRowPartition::even(n, comm.size());
+                let db = DistVector::from_global(part.clone(), comm.rank(), &b).unwrap();
+                let mut solver = DistRslu::new(RsluOptions::default());
+                solver.solve(comm, &part, &db).unwrap_err()
+            });
+            assert!(matches!(out[0], RsluError::BadOption(_)), "p = {p}: {:?}", out[0]);
+            assert!(out.iter().all(|e| *e == out[0]), "p = {p}: {out:?}");
+        }
     }
 }

@@ -5,8 +5,12 @@
 use proptest::collection::vec;
 use proptest::prelude::*;
 use rdirect::{LuFactorization, Ordering, RsluOptions, RsluSolver};
+use rdirect::ordering::{is_permutation, min_degree};
 use rdirect::symbolic::Symbolic;
 use rsparse::generate;
+
+#[path = "../src/ordering/reference.rs"]
+mod reference;
 
 /// Random diagonally dominant (hence nonsingular) matrix via seeds.
 fn dd(n: usize, seed: u64) -> rsparse::CsrMatrix {
@@ -118,5 +122,29 @@ proptest! {
         let x1 = lu.solve(&b[n..2 * n]).unwrap();
         prop_assert_eq!(&xs[..n], &x0[..]);
         prop_assert_eq!(&xs[n..], &x1[..]);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The quotient-graph minimum degree returns exactly the permutation
+    /// of explicit clique formation, on symmetric and unsymmetric
+    /// patterns alike.
+    #[test]
+    fn min_degree_matches_the_explicit_clique_reference(
+        seed in 0u64..100_000,
+        n in 1usize..120,
+        density in 0.01f64..0.08,
+        unsymmetric in any::<bool>(),
+    ) {
+        let a = if unsymmetric {
+            generate::random_csr(n, n, density, seed)
+        } else {
+            dd(n, seed)
+        };
+        let perm = min_degree(&a);
+        prop_assert!(is_permutation(&perm, n));
+        prop_assert_eq!(perm, reference::min_degree_reference(&a));
     }
 }
